@@ -853,6 +853,22 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(forwarded)
 
 
+def _budget_seconds(value: str) -> float:
+    """argparse type for ``solve``/``dist run --timeout``: seconds >= 0."""
+    seconds = float(value)
+    if not seconds >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be >= 0 seconds, got {value}")
+    return seconds
+
+
+def _request_seconds(value: str) -> float:
+    """argparse type for ``serve --timeout``: seconds > 0, as a request's own."""
+    seconds = float(value)
+    if not seconds > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be > 0 seconds, got {value}")
+    return seconds
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = argparse.ArgumentParser(
@@ -899,7 +915,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--dims", type=int, default=2, metavar="D",
                    help="dimensions for the torus/mesh/fbfly families "
                         "(default 2)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+    p.add_argument("--timeout", type=_budget_seconds, default=None,
+                   metavar="SECONDS",
                    help="wall-clock budget; expiry degrades, never fails")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="checkpoint file for the enumeration sweep")
@@ -951,7 +968,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="coordinator state directory (resumable)")
     d.add_argument("--shards", type=int, default=8)
     d.add_argument("--workers", type=int, default=2)
-    d.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    d.add_argument("--timeout", type=_budget_seconds, default=None,
+                   metavar="SECONDS")
     d.add_argument("--lease-seconds", type=float, default=15.0,
                    help="lease length between heartbeats before a shard "
                         "may be stolen")
@@ -1024,7 +1042,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="listen port (0 picks a free one; see --port-file)")
     p.add_argument("--workers", type=int, default=1,
                    help="supervised pool size (1 solves in the drain thread)")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
+    p.add_argument("--timeout", type=_request_seconds, default=None, metavar="S",
                    help="default per-request budget in seconds "
                         "(requests may set their own)")
     p.add_argument("--max-nodes", type=int, default=4096,

@@ -9,7 +9,7 @@ networks) by searching side assignments with pruning:
 
 * **bound** — the running cut plus, for every unassigned node, the cheaper
   of its edge counts into the two assigned sides (it must eventually pay
-  at least that);
+  at least that), updated at O(degree) cost per assignment;
 * **balance forcing** — when one side reaches its quota the rest of the
   assignment is forced and costed immediately;
 * **branching order** — most-constrained node first (largest imbalance of
@@ -71,61 +71,70 @@ def bb_min_bisection(
         raise ValueError("empty network")
     quota_a = (n + 1) // 2
     quota_b = n - n // 2  # == ceil(n/2); both sides bounded by ceil
-    adj = [net.neighbors(v) for v in range(n)]
+    adj = [net.neighbors(v).tolist() for v in range(n)]
 
-    incumbent = kernighan_lin_bisection(net, restarts=3)
+    incumbent = kernighan_lin_bisection(net, restarts=3, budget=budget)
     best_cap = incumbent.capacity
     best_side = incumbent.side.copy()
-    if warm_start is not None:
-        warm = warm_start if isinstance(warm_start, Cut) else Cut(net, warm_start)
+    if isinstance(warm_start, Cut):
+        warm_start = warm_start.side
+    if warm_start is not None and np.shape(warm_start) == (n,):
+        warm = Cut(net, warm_start)
         if warm.is_bisection() and warm.capacity < best_cap:
             best_cap = warm.capacity
             best_side = warm.side.copy()
             incr("cuts.bb.warm_starts")
 
-    side = np.full(n, -1, dtype=np.int64)   # -1 unassigned, 0 = Ā, 1 = A
-    to_a = np.zeros(n, dtype=np.int64)       # assigned-A neighbors per node
-    to_b = np.zeros(n, dtype=np.int64)
+    side = [-1] * n   # -1 unassigned, 0 = Ā, 1 = A
+    to_a = [0] * n    # assigned-A neighbors per node
+    to_b = [0] * n
+    toward = (to_b, to_a)  # toward[s][v]: v's neighbors assigned to side s
     counts = [0, 0]
+    # The bound's node term, kept current by assign/unassign: the sum over
+    # unassigned v of min(to_a[v], to_b[v]).
+    lb = 0
 
     # Degree-descending static order as the fallback branching pool.
-    order = np.argsort(-net.degrees, kind="stable")
-
-    def lower_bound() -> int:
-        lb = 0
-        for v in range(n):
-            if side[v] < 0:
-                lb += min(to_a[v], to_b[v])
-        return lb
+    order = np.argsort(-net.degrees, kind="stable").tolist()
 
     def assign(v: int, s: int) -> int:
         """Assign and return the cut increase."""
-        inc = to_b[v] if s == 1 else to_a[v]
+        nonlocal lb
+        grow, other = toward[s], toward[1 - s]
         side[v] = s
         counts[s] += 1
+        g, o = grow[v], other[v]
+        lb -= g if g < o else o  # cheaper than min() on this hot path
+        # An unassigned neighbor's min(to_a, to_b) rises only when the
+        # count that grows was the smaller one.
         for u in adj[v]:
-            if s == 1:
-                to_a[u] += 1
-            else:
-                to_b[u] += 1
-        return int(inc)
+            t = grow[u]
+            if side[u] < 0 and t < other[u]:
+                lb += 1
+            grow[u] = t + 1
+        return other[v]
 
     def unassign(v: int, s: int) -> None:
+        nonlocal lb
+        grow, other = toward[s], toward[1 - s]
+        for u in adj[v]:
+            t = grow[u] - 1
+            grow[u] = t
+            if side[u] < 0 and t < other[u]:
+                lb -= 1
         side[v] = -1
         counts[s] -= 1
-        for u in adj[v]:
-            if s == 1:
-                to_a[u] -= 1
-            else:
-                to_b[u] -= 1
+        g, o = grow[v], other[v]
+        lb += g if g < o else o
 
     def pick() -> int:
         best_v, best_score = -1, -1
         for v in order:
             if side[v] < 0:
-                score = abs(int(to_a[v]) - int(to_b[v])) * 4 + int(to_a[v] + to_b[v])
+                ta, tb = to_a[v], to_b[v]
+                score = abs(ta - tb) * 4 + ta + tb
                 if score > best_score:
-                    best_v, best_score = int(v), score
+                    best_v, best_score = v, score
         return best_v
 
     expansions = 0
@@ -145,14 +154,14 @@ def bb_min_bisection(
         ):
             aborted = True
             return
-        if cur + lower_bound() >= best_cap:
+        if cur + lb >= best_cap:
             pruned += 1
             return
         unassigned = n - counts[0] - counts[1]
         if unassigned == 0:
             if cur < best_cap:
                 best_cap = cur
-                best_side = (side == 1).copy()
+                best_side = np.array(side) == 1
                 improvements += 1
             return
         # Balance forcing: a full side forces the rest.
@@ -163,7 +172,7 @@ def bb_min_bisection(
             forced = 1
         if forced is not None:
             inc_total = 0
-            stack = [int(v) for v in np.flatnonzero(side < 0)]
+            stack = [v for v in range(n) if side[v] < 0]
             for v in stack:
                 inc_total += assign(v, forced)
             rec(cur + inc_total)
@@ -184,7 +193,7 @@ def bb_min_bisection(
             aborted = True  # keep the KL incumbent; no certified search ran
         else:
             # Symmetry: pin the first node of the branching order to side A.
-            v0 = int(order[0])
+            v0 = order[0]
             inc = assign(v0, 1)
             rec(inc)
             unassign(v0, 1)

@@ -26,25 +26,26 @@ __all__ = ["fm_refine", "fm_bisection"]
 class _GainBuckets:
     """Bucket array over gains in [-max_deg, +max_deg] with a moving max."""
 
-    def __init__(self, gains: np.ndarray, active: np.ndarray, max_deg: int) -> None:
+    def __init__(self, gains: list[int], max_deg: int) -> None:
         self.offset = max_deg
         self.buckets: list[set[int]] = [set() for _ in range(2 * max_deg + 1)]
-        self.where = np.full(len(gains), -1, dtype=np.int64)
+        self.where = [-1] * len(gains)
         self.max_ptr = 0
         # One bounded O(n) setup sweep; a Budget poll per insert would
         # cost more than the loop.  The enclosing pass loop polls.
         # repro-lint: disable=RL010 -- bounded constructor setup, enclosing pass loop polls
-        for v in np.flatnonzero(active):
-            self.insert(int(v), int(gains[v]))
+        for v, gain in enumerate(gains):
+            self.insert(v, gain)
 
     def insert(self, v: int, gain: int) -> None:
         b = gain + self.offset
         self.buckets[b].add(v)
         self.where[v] = b
-        self.max_ptr = max(self.max_ptr, b)
+        if b > self.max_ptr:
+            self.max_ptr = b
 
     def remove(self, v: int) -> None:
-        b = int(self.where[v])
+        b = self.where[v]
         if b >= 0:
             self.buckets[b].discard(v)
             self.where[v] = -1
@@ -54,14 +55,13 @@ class _GainBuckets:
             self.remove(v)
             self.insert(v, gain)
 
-    def pop_best(self, admissible) -> int | None:
-        """Pop the best node satisfying the ``admissible`` predicate."""
+    def pop_best(self, side: list[bool], movable: tuple[bool, bool]) -> int | None:
+        """Pop the best node ``v`` whose side may give one up: ``movable[side[v]]``."""
         ptr = self.max_ptr
         while ptr >= 0:
-            bucket = self.buckets[ptr]
             found = None
-            for v in bucket:
-                if admissible(v):
+            for v in self.buckets[ptr]:
+                if movable[side[v]]:
                     found = v
                     break
             if found is not None:
@@ -87,37 +87,39 @@ def fm_refine(
     """
     net = cut.network
     n = net.num_nodes
-    adj = [net.neighbors(v) for v in range(n)]
+    adj = [net.neighbors(v).tolist() for v in range(n)]
     max_deg = int(net.degrees.max()) if n else 0
     side = cut.side.copy()
     target = int(side.sum())
+    slack = max(1, balance_slack)
 
     for _ in range(max_passes):
         if budget is not None and budget.expired():
             break
-        gains = Cut(net, side).move_gains()
-        active = np.ones(n, dtype=bool)
-        buckets = _GainBuckets(gains, active, max_deg)
-        cur_size = int(side.sum())
+        gains = Cut(net, side).move_gains().tolist()
+        buckets = _GainBuckets(gains, max_deg)
+        cur_size = target
         trail: list[int] = []
         cum: list[int] = []
         total = 0
-        work_side = side.copy()
-
-        def admissible(v: int) -> bool:
-            s = cur_size - 1 if work_side[v] else cur_size + 1
-            return abs(s - target) <= max(1, balance_slack)
+        work_side = side.tolist()
 
         while True:
             if budget is not None and budget.expired():
                 break
-            v = buckets.pop_best(admissible)
+            # movable[s]: whether a node on side s (True = S) may move, i.e.
+            # whether |S| after its move stays within the slack.
+            movable = (
+                abs(cur_size + 1 - target) <= slack,
+                abs(cur_size - 1 - target) <= slack,
+            )
+            v = buckets.pop_best(work_side, movable)
             if v is None:
                 break
-            total += int(gains[v])
+            total += gains[v]
             trail.append(v)
             cum.append(total)
-            moved_from_s = bool(work_side[v])
+            moved_from_s = work_side[v]
             work_side[v] = not work_side[v]
             cur_size += -1 if moved_from_s else 1
             # Update neighbor gains: an edge to v changes crossing status.
@@ -128,7 +130,7 @@ def fm_refine(
                     gains[u] -= 2
                 else:
                     gains[u] += 2
-                buckets.update(int(u), int(gains[u]))
+                buckets.update(u, gains[u])
 
         if not cum:
             break
@@ -136,15 +138,10 @@ def fm_refine(
         # side sizes (prefixes that end unbalanced are not bisections).
         best_idx = -1
         best_gain = 0
-        size = int(side.sum())
-        prefix_sizes = []
-        tmp = side.copy()
-        for v in trail:
-            size += -1 if tmp[v] else 1
-            tmp[v] = not tmp[v]
-            prefix_sizes.append(size)
-        for i in range(len(trail)):
-            if cum[i] > best_gain and prefix_sizes[i] == target:
+        size = target
+        for i, v in enumerate(trail):  # each node moves at most once a pass
+            size += -1 if side[v] else 1
+            if cum[i] > best_gain and size == target:
                 best_gain = cum[i]
                 best_idx = i
         if best_idx < 0:

@@ -9,13 +9,13 @@ cumulative gain.  Passes repeat until no positive-gain prefix exists.
 This provides upper bounds on the Section 1.2 bisection widths for networks
 beyond the exact solvers' reach (``B16``, ``B32``, ``W16``...), and serves as the refinement
 stage after spectral initialization.  The per-pass bottleneck (the gain
-matrix between boundary candidates) is evaluated with dense NumPy blocks.
+matrix between boundary candidates) is evaluated with dense NumPy blocks;
+each swap updates the ``D`` values from the swapped pair's neighbor lists.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from ..resilience.budget import Budget
 from ..topology.base import Network
@@ -23,14 +23,9 @@ from .cut import Cut
 
 __all__ = ["kernighan_lin_bisection", "kl_refine"]
 
-
-def _adjacency(net: Network):
-    n = net.num_nodes
-    e = net.edges
-    data = np.ones(len(e), dtype=np.int64)
-    mat = coo_matrix((data, (e[:, 0], e[:, 1])), shape=(n, n))
-    mat = (mat + mat.T).tocsr()
-    return mat
+#: Added to a locked node's D: far below any real gain (|D| and W are at
+#: most the degree) yet far from int64 overflow after a pass of updates.
+_LOCKED = -(1 << 40)
 
 
 def _initial_side(net: Network, rng: np.random.Generator) -> np.ndarray:
@@ -51,7 +46,7 @@ def kl_refine(
     swap prefix, so the cut returned is always balanced.
     """
     net = cut.network
-    adj = _adjacency(net)
+    n = net.num_nodes
     side = cut.side.copy()
 
     for _ in range(max_passes):
@@ -62,35 +57,42 @@ def kl_refine(
         if len(a_nodes) == 0 or len(b_nodes) == 0:
             break
         # D[v] = external - internal degree under the current partition.
-        ext_a = np.asarray(adj[a_nodes][:, b_nodes].sum(axis=1)).ravel()
-        int_a = np.asarray(adj[a_nodes][:, a_nodes].sum(axis=1)).ravel()
-        ext_b = np.asarray(adj[b_nodes][:, a_nodes].sum(axis=1)).ravel()
-        int_b = np.asarray(adj[b_nodes][:, b_nodes].sum(axis=1)).ravel()
-        Da = ext_a - int_a
-        Db = ext_b - int_b
-        W = np.asarray(adj[a_nodes][:, b_nodes].todense())
+        d = Cut(net, side).move_gains()
+        Da = d[a_nodes]
+        Db = d[b_nodes]
+        # W2[i, j] = twice the edges between a_nodes[i] and b_nodes[j].
+        pos = np.empty(n, dtype=np.int64)
+        pos[a_nodes] = np.arange(len(a_nodes))
+        pos[b_nodes] = np.arange(len(b_nodes))
+        cross = net.cut_edges(side)
+        first_in_a = side[cross[:, 0]]
+        a_end = np.where(first_in_a, cross[:, 0], cross[:, 1])
+        b_end = np.where(first_in_a, cross[:, 1], cross[:, 0])
+        W2 = np.zeros((len(a_nodes), len(b_nodes)), dtype=np.int64)
+        np.add.at(W2, (pos[a_end], pos[b_end]), 2)
 
-        locked_a = np.zeros(len(a_nodes), dtype=bool)
-        locked_b = np.zeros(len(b_nodes), dtype=bool)
+        G = np.empty_like(W2)
         gains: list[int] = []
         swaps: list[tuple[int, int]] = []
         steps = min(len(a_nodes), len(b_nodes))
         for _step in range(steps):
-            G = Da[:, None] + Db[None, :] - 2 * W
-            G[locked_a, :] = np.iinfo(np.int64).min
-            G[:, locked_b] = np.iinfo(np.int64).min
+            # Locked nodes carry _LOCKED in their D, so every unlocked pair
+            # outranks every locked one and argmax keeps its first-max order.
+            np.add(Da[:, None], Db, out=G)
+            G -= W2
             flat = int(np.argmax(G))
             ia, ib = divmod(flat, len(b_nodes))
-            g = int(G[ia, ib])
-            gains.append(g)
+            gains.append(int(G[ia, ib]))
             swaps.append((ia, ib))
-            locked_a[ia] = True
-            locked_b[ib] = True
+            Da[ia] += _LOCKED
+            Db[ib] += _LOCKED
             # Update D values as if the pair were swapped.
-            wa = np.asarray(adj[a_nodes[ia]].todense()).ravel()
-            wb = np.asarray(adj[b_nodes[ib]].todense()).ravel()
-            Da = Da + 2 * wa[a_nodes] - 2 * wb[a_nodes]
-            Db = Db + 2 * wb[b_nodes] - 2 * wa[b_nodes]
+            delta = 2 * (
+                np.bincount(net.neighbors(a_nodes[ia]), minlength=n)
+                - np.bincount(net.neighbors(b_nodes[ib]), minlength=n)
+            )
+            Da += delta[a_nodes]
+            Db -= delta[b_nodes]
         cum = np.cumsum(gains)
         best = int(np.argmax(cum))
         if cum[best] <= 0:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.cuts.kernighan_lin as kernighan_lin
 from repro.cuts import bb_bisection_width, bb_min_bisection, cut_profile
+from repro.obs import collecting
+from repro.resilience.budget import Budget
 from repro.topology import (
     Network,
     butterfly,
@@ -81,3 +84,30 @@ class TestGuards:
         cut = bb_min_bisection(net)
         assert cut.capacity == 2
         assert {cut.s_size, cut.complement_size} == {2, 3}
+
+    @pytest.mark.parametrize("length", [0, 15, 17])
+    def test_wrong_length_warm_start_ignored(self, length):
+        net = hypercube(4)
+        with collecting() as col:
+            cut = bb_min_bisection(net, warm_start=np.ones(length, dtype=bool))
+        assert cut.capacity == 8
+        assert "cuts.bb.warm_starts" not in col.counters
+
+
+class TestBudget:
+    def test_expired_budget_stops_the_kl_incumbent(self, monkeypatch):
+        calls = []
+        refine = kernighan_lin.kl_refine
+
+        def counting_refine(*args, **kwargs):
+            calls.append(kwargs.get("budget"))
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(kernighan_lin, "kl_refine", counting_refine)
+        budget = Budget(0.0)
+        status: dict = {}
+        cut = bb_min_bisection(hypercube(4), budget=budget, status=status)
+        assert calls == [budget]
+        assert cut.is_bisection()
+        assert status["complete"] is False
+        assert status["expansions"] == 0

@@ -242,6 +242,27 @@ class TestTelemetryCLI:
         assert validate_timeline(load_timeline(tele / "timeline.json")) == []
 
 
+class TestTimeoutValidation:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "bn", "2", "--timeout", "-1"],
+        ["solve", "bn", "2", "--timeout", "nan"],
+        ["dist", "run", "bn", "2", "--state", "unused", "--timeout", "-1"],
+        ["serve", "--timeout", "-1"],
+        ["serve", "--timeout", "0"],
+    ])
+    def test_rejected_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "argument --timeout" in err
+
+    def test_zero_budget_still_degrades(self, capsys):
+        assert main(["solve", "bn", "2", "--timeout", "0"]) == 0
+        assert "BW(B2) in [0, 4]" in capsys.readouterr().out
+
+
 class TestMainModule:
     def test_python_dash_m(self):
         import subprocess, sys
