@@ -2,15 +2,18 @@
 """Certify, export, and independently re-verify — the downstream workflow.
 
 A user who distrusts this library's solvers can still trust its artifacts:
-a witness cut is just a node list whose capacity anyone can recount.  This
-example produces the Theorem 2.20 witness for ``B2048``, exports it to
-JSON, reloads it (the loader *recomputes* the capacity and refuses
-mismatches), and re-verifies balance by hand.  It also shows the
+a witness cut is just a side bit string whose capacity anyone can recount.
+This example produces the Theorem 2.20 certificate for ``B2048``, writes
+it as a ``repro-certificate/1`` file, reloads it (the loader rebuilds the
+network and refuses a drifted spec), has the independent checker recount
+the witness, and re-verifies balance by hand.  It also shows the
 finite-size scaling estimator recovering the paper's constants from data.
 
 Run:  python examples/certify_and_export.py
 """
 
+import dataclasses
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -19,9 +22,8 @@ import numpy as np
 
 from repro.analysis import estimate_lemma_219_constant, estimate_theorem_220_constant
 from repro.core import butterfly_bisection_width
-from repro.io import cut_from_dict, cut_to_dict, load_json, plan_to_dict, save_json
 from repro.cuts import best_plan
-from repro.topology import butterfly
+from repro.verify import check_certificate, load_certificate, write_certificate
 
 
 def main() -> None:
@@ -33,19 +35,19 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as td:
         path = Path(td) / f"b{n}_bisection.json"
-        save_json(cut_to_dict(cut), path)
-        print(f"exported witness to {path.name} "
+        write_certificate(path, cut.network, cert)
+        print(f"exported certificate to {path.name} "
               f"({path.stat().st_size} bytes of JSON)")
 
         # A fresh process would do exactly this:
-        bf = butterfly(n)
-        data = load_json(path)
-        reloaded = cut_from_dict(bf, data)   # recomputes + verifies capacity
-        print("reloaded and re-verified capacity:", reloaded.capacity)
+        bf, fields = load_certificate(path)  # rebuilds B2048, checks its digest
+        report = check_certificate(bf, fields)  # recounts the witness
+        print(f"independent checker: {'OK' if report.ok else 'REJECTED'} "
+              f"({', '.join(report.checks)})")
+        assert report.ok, report.problems
 
         # Independent recount, no library machinery:
-        side = np.zeros(bf.num_nodes, dtype=bool)
-        side[data["s_nodes"]] = True
+        side = np.array([c == "1" for c in json.loads(path.read_text())["witness"]])
         crossing = 0
         for u, v in bf.edges:
             crossing += side[u] != side[v]
@@ -53,10 +55,9 @@ def main() -> None:
               f"|S| = {int(side.sum())} of {bf.num_nodes}")
         assert int(crossing) == cut.capacity < n
 
-        plan_path = Path(td) / "plan.json"
-        save_json(plan_to_dict(best_plan(n)), plan_path)
-        print(f"the plan itself is {plan_path.stat().st_size} bytes — "
-              "the whole construction fits in a tweet")
+    plan = json.dumps(dataclasses.asdict(best_plan(n)))
+    print(f"the plan itself is {len(plan)} bytes of JSON — "
+          "the whole construction fits in a tweet")
 
     print()
     print("=== estimating the paper's constants from data alone ===")

@@ -19,8 +19,8 @@ Subcommands
     Certified ``BW`` interval by the degradation cascade
     (:func:`repro.core.fallback.solve_with_fallback`): exact solvers under
     a wall-clock budget, heuristics as fallback, always a valid bound.
-    ``--trace`` activates :mod:`repro.obs` and writes a run manifest
-    (spans, counters, winning tier, environment) to ``PATH``.
+    ``--trace`` activates :mod:`repro.obs` and writes a run timeline
+    (spans, counters, winning tier, result, environment) to ``PATH``.
     ``--cache DIR`` memoizes results in a
     :class:`~repro.perf.cache.SolverCache` (default from the
     ``REPRO_CACHE_DIR`` environment variable); ``--no-cache`` disables it
@@ -51,11 +51,11 @@ Subcommands
     interrupted, or never-recovered run — into an independently checked
     certificate (exact iff every shard is done).
 ``verify PATH``
-    Re-check a ``solve --certificate`` JSON file (or a run manifest from
-    ``solve --trace``) with the independent checker of
-    :mod:`repro.verify`: first-principles witness recount, interval
-    sanity, paper-claim inequalities.  Exits non-zero when verification
-    fails.
+    Re-check a ``solve --certificate`` JSON file (or the result interval
+    of a run timeline from ``solve --trace``) with the independent
+    checker of :mod:`repro.verify`: first-principles witness recount,
+    interval sanity, paper-claim inequalities.  Exits 1 when
+    verification fails and 2 when the file holds nothing to verify.
 ``fuzz [--seed S] [--runs N] [--corpus DIR] [--trace PATH]``
     Seeded differential fuzz campaign (:mod:`repro.verify.fuzz`): random
     small instances through every applicable solver, cache-warm and
@@ -77,10 +77,11 @@ Subcommands
     fleet timeline, merged to ``DIR/timeline.json`` on shutdown
     (SIGTERM/Ctrl-C).  See ``docs/serving.md``.
 ``stats PATH [--json] [--openmetrics PATH] [--flame PATH]``
-    Validate and pretty-print (or re-emit as JSON) a run manifest written
-    by ``solve --trace`` *or* a merged fleet timeline written by ``dist
-    run --telemetry``.  ``--openmetrics`` exports counters/gauges as a
-    Prometheus text exposition; ``--flame`` exports the span tree as
+    Validate and pretty-print (or re-emit as JSON) a run timeline: the
+    one-shard timeline ``solve --trace`` / ``fuzz --trace`` write or a
+    merged fleet timeline from ``dist run --telemetry``.
+    ``--openmetrics`` exports counters/gauges as a Prometheus text
+    exposition; ``--flame`` exports the span tree as
     folded flame-graph stacks.
 ``claims [IDS...]``
     Check registered paper claims (all by default).
@@ -92,10 +93,14 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
 __all__ = ["main"]
+
+#: ``kind`` of the run manifests older releases wrote; only refused now.
+_OLD_MANIFEST_KIND = "repro-obs-manifest"
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -216,43 +221,64 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "dist_workers": getattr(args, "dist_workers", None),
         "dist_telemetry": getattr(args, "dist_telemetry", None),
     }
-    if args.trace is None:
+    with _run_record(args.trace) as header:
         cert = solve_with_fallback(net, budget=budget, checkpoint=args.checkpoint,
                                    cache=cache_dir, **dist_kwargs)
-        print(cert)
-        _maybe_write_certificate(args, net, cert)
-        return 0
+        header.update(
+            command=["solve", args.family, str(args.n)] + (
+                ["--dims", str(getattr(args, "dims", 2))]
+                if args.family in _DIMS_FAMILIES else []
+            ),
+            budget={
+                "seconds": args.timeout,
+                "expired": budget.expired() if budget is not None else False,
+            },
+            result={
+                "quantity": cert.quantity,
+                "lower": cert.lower,
+                "upper": cert.upper,
+                "exact": cert.lower == cert.upper,
+                "lower_evidence": cert.lower_evidence,
+                "upper_evidence": cert.upper_evidence,
+            },
+        )
+    print(cert)
+    _maybe_write_certificate(args, net, cert)
+    return 0
+
+
+@contextlib.contextmanager
+def _run_record(path):
+    """Trace the block into a one-shard run timeline written to ``path``.
+
+    Yields a dict the block fills with header fields (``command``,
+    ``result``, ...).  The shard lives in a temporary directory, so
+    nothing but ``path`` is left behind; ``path=None`` traces nothing.
+    """
+    header: dict = {}
+    if path is None:
+        yield header
+        return
+    import tempfile
+    from pathlib import Path
 
     from . import obs
 
-    collector = obs.Collector()
-    with obs.collecting(collector):
-        cert = solve_with_fallback(net, budget=budget, checkpoint=args.checkpoint,
-                                   cache=cache_dir, **dist_kwargs)
-    manifest = obs.build_manifest(
-        collector,
-        command=["solve", args.family, str(args.n)] + (
-            ["--dims", str(getattr(args, "dims", 2))]
-            if args.family in _DIMS_FAMILIES else []
-        ),
-        budget={
-            "seconds": args.timeout,
-            "expired": budget.expired() if budget is not None else False,
-        },
-        result={
-            "quantity": cert.quantity,
-            "lower": cert.lower,
-            "upper": cert.upper,
-            "exact": cert.lower == cert.upper,
-            "lower_evidence": cert.lower_evidence,
-            "upper_evidence": cert.upper_evidence,
-        },
+    with tempfile.TemporaryDirectory() as td:
+        col = obs.ShardCollector(Path(td) / "run.jsonl", worker="main")
+        with obs.collecting(col):
+            yield header
+        timeline = obs.merge_shards([col.flush()])
+    notes = col.notes
+    timeline.update(
+        command=None, seed=None, budget=None, result=None,
+        tier=notes.get("winning_tier"), notes=notes,
+        telemetry=notes.get("telemetry"),
+        environment=obs.capture_environment(),
     )
-    obs.write_manifest(args.trace, manifest)
-    print(cert)
-    print(f"trace written to {args.trace}", file=sys.stderr)
-    _maybe_write_certificate(args, net, cert)
-    return 0
+    timeline.update(header)
+    obs.write_timeline(path, timeline)
+    print(f"trace written to {path}", file=sys.stderr)
 
 
 def _maybe_write_certificate(args: argparse.Namespace, net, cert) -> None:
@@ -266,6 +292,7 @@ def _maybe_write_certificate(args: argparse.Namespace, net, cert) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import json
 
+    from . import obs
     from .verify import CERTIFICATE_FORMAT, check_certificate, load_certificate
 
     try:
@@ -274,33 +301,36 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
-    if isinstance(data, dict) and data.get("format") == CERTIFICATE_FORMAT:
+    if not isinstance(data, dict):
+        data = {}
+    if data.get("format") == CERTIFICATE_FORMAT:
         try:
             net, fields = load_certificate(args.path)
         except ValueError as exc:
             print(f"verify: REJECTED: {exc}", file=sys.stderr)
             return 1
         report = check_certificate(net, fields)
-    elif isinstance(data, dict) and "result" in data:
-        # A run manifest from ``solve --trace``: validate its structure,
-        # then check the recorded result interval.  Manifests carry no
+    elif data.get("kind") == obs.TIMELINE_KIND:
+        # A run timeline from ``solve --trace``: validate its structure,
+        # then check the recorded result interval.  Timelines carry no
         # witness, so only the network-independent checks plus the family
         # claims (via the network rebuilt from the recorded command) run.
-        from . import obs
-
-        problems = obs.validate_manifest(data)
+        problems = obs.validate_timeline(data)
         if problems:
             for p in problems:
-                print(f"verify: invalid manifest: {p}", file=sys.stderr)
+                print(f"verify: invalid timeline: {p}", file=sys.stderr)
             return 1
+        result = data.get("result")
+        if not (isinstance(result, dict) and {"lower", "upper"} <= result.keys()):
+            print(f"verify: {args.path}: no solve result to verify",
+                  file=sys.stderr)
+            return 2
         report = check_certificate(
-            _network_from_command(data.get("command")),
-            dict(data["result"]),
+            _network_from_command(data.get("command")), dict(result),
             require_witness=False,
         )
     else:
-        print(f"verify: {args.path} is neither a certificate nor a run "
-              f"manifest", file=sys.stderr)
+        print(_not_a_run_record("verify", args.path, data), file=sys.stderr)
         return 2
     if report.ok:
         print(f"verify: OK: {report.subject} "
@@ -312,8 +342,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
+def _not_a_run_record(cmd: str, path: str, data: dict) -> str:
+    """The one-line refusal for a file that is no run timeline."""
+    if data.get("kind") == _OLD_MANIFEST_KIND:
+        return (f"{cmd}: {path}: {_OLD_MANIFEST_KIND} files are no longer "
+                f"read; re-run with --trace")
+    return f"{cmd}: {path} is neither a certificate nor a run timeline"
+
+
 def _network_from_command(command) -> "object | None":
-    """Rebuild the solved network from a manifest's recorded command."""
+    """Rebuild the solved network from a run timeline's recorded command."""
     families = ("bn", "wn", "ccc", "torus", "mesh", "fattree", "fbfly")
     if (
         not isinstance(command, list) or len(command) < 3
@@ -570,21 +608,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from . import obs
     from .verify import fuzz
 
-    collector = obs.Collector()
-    with obs.collecting(collector):
+    with _run_record(args.trace) as header:
         with obs.trace("verify.fuzz.campaign", seed=args.seed, runs=args.runs):
             report = fuzz.run_campaign(
                 seed=args.seed, runs=args.runs, corpus_dir=args.corpus,
             )
-    if args.trace is not None:
-        manifest = obs.build_manifest(
-            collector,
+        header.update(
             command=["fuzz", "--seed", str(args.seed), "--runs", str(args.runs)],
             seed=args.seed,
             result=report.to_dict(),
         )
-        obs.write_manifest(args.trace, manifest)
-        print(f"trace written to {args.trace}", file=sys.stderr)
     print(f"fuzz: seed={report.seed} runs={report.runs} "
           f"disagreements={len(report.failures)}")
     for f in report.failures:
@@ -594,21 +627,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         if f.get("case_id"):
             print(f"fuzz:   shrunk case: {f['case_id']}", file=sys.stderr)
     return 1 if report.failures else 0
-
-
-def _format_span_tree(spans: list[dict]) -> list[str]:
-    lines = []
-    for s in sorted(spans, key=lambda s: float(s.get("start", 0.0))):
-        indent = "  " * int(s.get("depth", 0))
-        attrs = s.get("attrs") or {}
-        suffix = (
-            " (" + ", ".join(f"{k}={v}" for k, v in sorted(attrs.items())) + ")"
-            if attrs else ""
-        )
-        lines.append(
-            f"  {indent}{s['name']}  {float(s['duration']) * 1e3:.3f} ms{suffix}"
-        )
-    return lines
 
 
 def _format_timeline_tree(spans: list[dict]) -> list[str]:
@@ -640,7 +658,7 @@ def _format_timeline_tree(spans: list[dict]) -> list[str]:
 
 
 def _stats_timeline(args: argparse.Namespace, data: dict) -> int:
-    """The ``stats`` view of a merged fleet timeline."""
+    """The ``stats`` view of a run timeline, one-shard or fleet."""
     import json
 
     from . import obs
@@ -655,7 +673,24 @@ def _stats_timeline(args: argparse.Namespace, data: dict) -> int:
     if args.json:
         print(json.dumps(data, indent=2, sort_keys=True))
         return 0
-    print(f"timeline: {args.manifest}")
+    print(f"timeline: {args.path}")
+    if data.get("command"):
+        print(f"command: {' '.join(data['command'])}")
+    env = data.get("environment")
+    if env:
+        print(f"python: {env.get('python', '?')}  "
+              f"git: {env.get('git_rev') or '(unknown)'}")
+    if data.get("tier") is not None:
+        print(f"winning tier: {data['tier']}")
+    result = data.get("result")
+    if isinstance(result, dict) and "disagreements" in result:
+        print(f"result: fuzz seed={result.get('seed')} "
+              f"runs={result.get('runs')} "
+              f"disagreements={result.get('disagreements')}")
+    elif isinstance(result, dict):
+        print(f"result: {result.get('quantity', '?')} in "
+              f"[{result.get('lower', '?')}, {result.get('upper', '?')}]"
+              f"{' (exact)' if result.get('exact') else ''}")
     print(f"run: {data.get('run_id')}")
     workers = data.get("workers", [])
     print(f"workers ({len(workers)}): {', '.join(workers)}")
@@ -686,6 +721,11 @@ def _stats_timeline(args: argparse.Namespace, data: dict) -> int:
         print(f"events ({len(events)}):")
         for e in events:
             print(f"  {e['t'] * 1e3:9.3f} ms  {e['name']} [{e['worker']}]")
+    tele = data.get("telemetry")
+    if isinstance(tele, dict):
+        print(f"telemetry: run {tele.get('run_id')}, "
+              f"{len(tele.get('shard_files', []))} shard files, "
+              f"timeline {tele.get('timeline')}")
     return 0
 
 
@@ -706,63 +746,17 @@ def _stats_exports(args: argparse.Namespace, data: dict) -> bool:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    import json
-
     from . import obs
 
     try:
-        data = obs.load_manifest(args.manifest)
+        data = obs.load_timeline(args.path)
     except (OSError, ValueError) as exc:
         print(f"stats: {exc}", file=sys.stderr)
         return 1
-    if data.get("kind") == obs.TIMELINE_KIND:
-        return _stats_timeline(args, data)
-    problems = obs.validate_manifest(data)
-    if problems:
-        for p in problems:
-            print(f"stats: invalid manifest: {p}", file=sys.stderr)
+    if data.get("kind") == _OLD_MANIFEST_KIND:
+        print(_not_a_run_record("stats", args.path, data), file=sys.stderr)
         return 1
-    if _stats_exports(args, data):
-        return 0
-    if args.json:
-        print(json.dumps(data, indent=2, sort_keys=True))
-        return 0
-    cmd = data.get("command")
-    print(f"manifest: {args.manifest}")
-    if cmd:
-        print(f"command: {' '.join(str(c) for c in cmd)}")
-    env = data.get("environment", {})
-    print(f"python: {env.get('python', '?')}  "
-          f"git: {env.get('git_rev') or '(unknown)'}")
-    if data.get("tier") is not None:
-        print(f"winning tier: {data['tier']}")
-    result = data.get("result")
-    if isinstance(result, dict) and "disagreements" in result:
-        print(f"result: fuzz seed={result.get('seed')} "
-              f"runs={result.get('runs')} "
-              f"disagreements={result.get('disagreements')}")
-    elif isinstance(result, dict):
-        print(f"result: {result.get('quantity', '?')} in "
-              f"[{result.get('lower', '?')}, {result.get('upper', '?')}]"
-              f"{' (exact)' if result.get('exact') else ''}")
-    print(f"spans ({len(data.get('spans', []))}):")
-    for line in _format_span_tree(data.get("spans", [])):
-        print(line)
-    counters = data.get("counters", {})
-    print(f"counters ({len(counters)}):")
-    for k in sorted(counters):
-        print(f"  {k} = {counters[k]}")
-    gauges = data.get("gauges", {})
-    if gauges:
-        print(f"gauges ({len(gauges)}):")
-        for k in sorted(gauges):
-            print(f"  {k} = {gauges[k]}")
-    tele = data.get("telemetry")
-    if isinstance(tele, dict):
-        print(f"telemetry: run {tele.get('run_id')}, "
-              f"{len(tele.get('shard_files', []))} shard files, "
-              f"timeline {tele.get('timeline')}")
-    return 0
+    return _stats_timeline(args, data)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -921,8 +915,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="checkpoint file for the enumeration sweep")
     p.add_argument("--trace", default=None, metavar="PATH",
-                   help="write a run manifest (spans, counters, environment) "
-                        "to PATH")
+                   help="write a run timeline (spans, counters, result, "
+                        "environment) to PATH")
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="solver-cache directory (default: $REPRO_CACHE_DIR)")
     p.add_argument("--no-cache", action="store_true",
@@ -941,7 +935,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--dist-telemetry", default=None, metavar="DIR",
                    help="fleet-telemetry directory for --shards: per-worker "
                         "span shards plus a merged timeline.json; a --trace "
-                        "manifest gains a telemetry pointer block")
+                        "timeline gains a telemetry pointer block")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser(
@@ -1011,10 +1005,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "verify",
-        help="independently re-check a certificate JSON or run manifest",
+        help="independently re-check a certificate JSON or run timeline",
     )
     p.add_argument("path", help="certificate file from solve --certificate, "
-                                "or manifest from solve --trace")
+                                "or timeline from solve --trace")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser(
@@ -1025,7 +1019,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--corpus", default=None, metavar="DIR",
                    help="save shrunk failing cases to DIR (JSON, replayable)")
     p.add_argument("--trace", default=None, metavar="PATH",
-                   help="write a run manifest for the campaign to PATH")
+                   help="write a run timeline for the campaign to PATH")
     p.set_defaults(fn=_cmd_fuzz)
 
     p = sub.add_parser("cache", help="inspect or clear a solver cache")
@@ -1060,10 +1054,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "stats",
-        help="inspect a run manifest (solve --trace) or a merged fleet "
-             "timeline (dist run --telemetry)",
+        help="inspect a run timeline (solve --trace, fuzz --trace, "
+             "dist run --telemetry)",
     )
-    p.add_argument("manifest")
+    p.add_argument("path")
     p.add_argument("--json", action="store_true",
                    help="dump the validated document as JSON")
     p.add_argument("--openmetrics", default=None, metavar="PATH",

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cuts.autotune import BATCH_CONTRACT_VERSION
 from ..cuts.branch_and_bound import bb_min_bisection
 from ..cuts.cut import Cut
-from ..cuts.enumerate_exact import cut_profile
+from ..cuts.enumerate_exact import BATCH_CONTRACT_VERSION, cut_profile
 from ..cuts.fiduccia_mattheyses import fm_bisection
 from ..cuts.kernighan_lin import kernighan_lin_bisection
 from ..cuts.layered_dp import layered_cut_profile
@@ -127,7 +126,7 @@ def solve_with_fallback(
     dist_telemetry:
         Optional fleet-telemetry directory for the distributed tier (see
         :func:`repro.dist.distributed_cut_profile`); shard files and the
-        merged timeline land there, and a traced run's manifest gains a
+        merged timeline land there, and a traced run's timeline gains a
         ``telemetry`` pointer block.
     """
     with trace("solve.fallback", network=net.name, nodes=net.num_nodes):
@@ -223,7 +222,7 @@ def _run_cascade(
         cert.verify(net).raise_for_problems()
         # The winning tier is whichever produced the upper bound (for an
         # exact answer both sides share it); recorded as an obs note so a
-        # traced run's manifest names it.
+        # traced run's timeline names it.
         annotate("winning_tier", upper_ev.split()[0])
         annotate("quantity", name)
         annotate("exact", lower == upper)

@@ -2,10 +2,20 @@
 
 Enumerates all ``2^{N-1}`` side assignments (the last node is pinned to
 ``S̄``, halving the space by complement symmetry) in vectorized bitmask
-batches.  For every batch the cut capacity is accumulated edge by edge with
-NumPy shifts, so the inner work is ``O(E)`` vector operations per batch and
+tiles.  For every tile the cut capacity is accumulated edge by edge with
+NumPy shifts, so the inner work is ``O(E)`` vector operations per tile and
 never a Python loop over masks — the idiom the HPC guides prescribe for
 exhaustive kernels.
+
+Two fixed grids make up the batch contract.  A *tile* of
+``2^_TILE_BITS`` masks is what :func:`_range_minima` materializes at once:
+each ``int64`` lane is then 256 kB and stays in a core's L2.  A *batch* of
+``2^_BATCH_BITS`` masks is the unit between budget polls, checkpoint
+saves and ``on_batch`` callbacks — about 30 ms of work at 24 nodes.
+Neither grid affects results: the profile fold is an elementwise minimum
+and the strict-``<`` witness rule keeps the globally lowest achieving
+mask under any ascending grid, so any tile or batch size — even a resume
+under a different one — is bit-identical to a one-batch sweep.
 
 Feasible to roughly 26 nodes; beyond that use the layered dynamic program
 (:mod:`repro.cuts.layered_dp`) when the network is layered, or the
@@ -34,19 +44,35 @@ from ..obs import incr, trace
 from ..resilience.budget import Budget
 from ..resilience.checkpoint import CheckpointStore, RangeLedger, as_store
 from ..topology.base import Network
-from .autotune import BATCH_CONTRACT_VERSION, BatchAutotuner, sweep_ranges
 from .cut import Cut
 
 __all__ = [
+    "BATCH_CONTRACT_VERSION",
     "CutProfile",
     "cut_profile",
     "enumeration_shards",
     "min_bisection",
     "min_u_bisection",
     "shard_minima",
+    "sweep_ranges",
 ]
 
 _MAX_NODES = 28
+
+#: Version of the batched-kernel contract (accumulation order, pre-fold
+#: checkpoint state, O(E)-vector-ops-per-tile).  It keys checkpoints,
+#: cached profiles and coordinator state; bump it when a semantic change
+#: would make persisted ranges or cached profiles unsafe to reuse.
+BATCH_CONTRACT_VERSION = 2
+
+#: log2 of the masks one :func:`_range_minima` tile materializes.  2^15
+#: keeps every instance of 16 nodes or fewer in a single tile.
+_TILE_BITS = 15
+
+#: log2 of the masks between budget polls, checkpoint saves and
+#: ``on_batch`` calls; an explicit ``batch_bits`` or a budget's
+#: ``max_batch_bits`` may only lower it.
+_BATCH_BITS = 18
 
 
 @dataclass(frozen=True)
@@ -104,9 +130,8 @@ def _fingerprint(net: Network, counted: np.ndarray) -> str:
     persisted ranges orphans old files instead of silently resuming them.
     The batch size is deliberately *absent*: the profile fold is an
     idempotent elementwise minimum and :class:`RangeLedger.covers`
-    requires full containment, so a resume under a different (even
-    autotuned, varying) batch grid recomputes uncovered spans and stays
-    bit-identical.
+    requires full containment, so a resume under a different batch grid
+    recomputes uncovered spans and stays bit-identical.
     """
     ind = np.zeros(net.num_nodes, dtype=np.uint8)
     ind[counted] = 1
@@ -128,42 +153,45 @@ def _range_minima(
 ) -> int:
     """Fold the mask range ``[start, stop)`` into ``best``/``best_mask``.
 
-    The one batch kernel every exhaustive sweep shares — the serial
+    The one kernel every exhaustive sweep shares — the serial
     :func:`cut_profile` loop, the distributed shard workers
     (:func:`shard_minima`), and the chaos harness all accumulate through
     this function, so their pre-fold states are bit-identical by
-    construction.  Per mask, the cut capacity is the xor-popcount over
-    edges and the counted size the shift-popcount over ``count_shift``;
-    updates use the strict-``<`` witness rule, so under any ascending
-    grid the surviving witness is the lowest achieving mask.  Returns the
-    number of masks evaluated.
+    construction.  The range is swept in ascending tiles of
+    ``2^_TILE_BITS`` masks.  Per mask, the cut capacity is the
+    xor-popcount over edges and the counted size the shift-popcount over
+    ``count_shift``; updates use the strict-``<`` witness rule, so under
+    any ascending grid the surviving witness is the lowest achieving
+    mask.  Returns the number of masks evaluated.
     """
     one = np.uint64(1)
-    masks = np.arange(start, stop, dtype=np.uint64)
-    # Capacity: per edge, xor of endpoint bits.
-    cap = np.zeros(len(masks), dtype=np.int64)
-    for u, v in zip(eu, ev):
-        cap += (((masks >> u) ^ (masks >> v)) & one).astype(np.int64)
-    # Counted size of S.
-    cnt = np.zeros(len(masks), dtype=np.int64)
-    for v in count_shift:
-        cnt += ((masks >> v) & one).astype(np.int64)
-    # Reduce per count value.
     m = len(best) - 1
-    order = np.argsort(cnt, kind="stable")
-    cnt_sorted = cnt[order]
-    cap_sorted = cap[order]
-    boundaries = np.searchsorted(cnt_sorted, np.arange(m + 2))
-    for c in range(m + 1):
-        lo, hi = boundaries[c], boundaries[c + 1]
-        if lo == hi:
-            continue
-        seg = cap_sorted[lo:hi]
-        am = int(np.argmin(seg))
-        if seg[am] < best[c]:
-            best[c] = seg[am]
-            best_mask[c] = masks[order[lo + am]]
-    return len(masks)
+    tile = 1 << _TILE_BITS
+    for lo in range(start, stop, tile):
+        masks = np.arange(lo, min(lo + tile, stop), dtype=np.uint64)
+        # Capacity: per edge, xor of endpoint bits.
+        cap = np.zeros(len(masks), dtype=np.int64)
+        for u, v in zip(eu, ev):
+            cap += (((masks >> u) ^ (masks >> v)) & one).astype(np.int64)
+        # Counted size of S.
+        cnt = np.zeros(len(masks), dtype=np.int64)
+        for v in count_shift:
+            cnt += ((masks >> v) & one).astype(np.int64)
+        # Reduce per count value.
+        order = np.argsort(cnt, kind="stable")
+        cnt_sorted = cnt[order]
+        cap_sorted = cap[order]
+        boundaries = np.searchsorted(cnt_sorted, np.arange(m + 2))
+        for c in range(m + 1):
+            lo_c, hi_c = boundaries[c], boundaries[c + 1]
+            if lo_c == hi_c:
+                continue
+            seg = cap_sorted[lo_c:hi_c]
+            am = int(np.argmin(seg))
+            if seg[am] < best[c]:
+                best[c] = seg[am]
+                best_mask[c] = masks[order[lo_c + am]]
+    return stop - start
 
 
 def _complement_fold(
@@ -212,6 +240,27 @@ def enumeration_shards(
     return sweep_ranges(1 << (n - 1), shards)
 
 
+def sweep_ranges(total: int, chunks: int) -> list[tuple[int, int]]:
+    """Split ``[0, total)`` into at most ``chunks`` contiguous ranges.
+
+    The shard grid behind :func:`enumeration_shards`, so a shard id maps
+    to the same half-open range in the coordinator (:mod:`repro.dist`),
+    in every worker and in the chaos harness.  The grid is an integer
+    ``linspace`` — near-equal ranges, empty ones dropped — and, like
+    every grid in the batch contract, never affects results: folds are
+    elementwise minima and the witness rule is grid-independent.
+    """
+    if total <= 0 or chunks <= 0:
+        return []
+    bounds = np.linspace(0, int(total), min(int(chunks), int(total)) + 1,
+                         dtype=np.int64)
+    return [
+        (int(bounds[i]), int(bounds[i + 1]))
+        for i in range(len(bounds) - 1)
+        if bounds[i + 1] > bounds[i]
+    ]
+
+
 def shard_minima(
     edges: np.ndarray,
     counted: np.ndarray,
@@ -243,17 +292,14 @@ def shard_minima(
         completed prefix; returning ``False`` abandons the shard (the
         worker lost its lease or its budget) and ``None`` is returned.
     batch_bits:
-        log2 batch size; defaults to the autotuner's memory-model initial
-        size for this edge count.
+        log2 of the masks between ``on_batch`` calls; may only lower the
+        default ``_BATCH_BITS``.
     """
     e = np.asarray(edges, dtype=np.uint64)
     eu, ev = e[:, 0], e[:, 1]
     count_shift = np.asarray(counted, dtype=np.uint64)
     m = len(count_shift)
-    bits = (
-        BatchAutotuner(edges=len(e)).initial_bits()
-        if batch_bits is None else int(batch_bits)
-    )
+    bits = _BATCH_BITS if batch_bits is None else min(int(batch_bits), _BATCH_BITS)
     inf = np.iinfo(np.int64).max
     best = np.full(m + 1, inf, dtype=np.int64)
     best_mask = np.zeros(m + 1, dtype=np.uint64)
@@ -296,13 +342,12 @@ def cut_profile(
         ranges and is bit-identical to an uninterrupted run (the stored
         state is pre-fold, so the complement fold happens exactly once).
     batch_bits:
-        log2 of the batch size.  ``None`` (the default) engages the
-        :class:`~repro.cuts.autotune.BatchAutotuner`, which sizes batches
-        from a memory model and adapts between batches toward a latency
-        window; an explicit value pins the size.  Either way a budget's
-        ``max_batch_bits`` memory ceiling caps it, and the result is
-        bit-identical regardless of the grid (the fold is an elementwise
-        minimum and witness selection is batch-partition-independent).
+        log2 of the masks between budget polls and checkpoint saves.
+        ``None`` (the default) means ``_BATCH_BITS``; an explicit value,
+        like a budget's ``max_batch_bits``, may only lower it.  The result
+        is bit-identical regardless of the grid (the fold is an
+        elementwise minimum and witness selection is
+        batch-partition-independent).
     """
     n = net.num_nodes
     if n > _MAX_NODES:
@@ -328,9 +373,7 @@ def cut_profile(
     best_mask = np.zeros(m + 1, dtype=np.uint64)
 
     total = 1 << (n - 1)  # pin node n-1 to the S̄ side
-    tuner = BatchAutotuner(edges=net.num_edges)
-    autotune = batch_bits is None
-    bits = tuner.initial_bits() if autotune else batch_bits
+    bits = _BATCH_BITS if batch_bits is None else min(int(batch_bits), _BATCH_BITS)
     if budget is not None:
         bits = budget.batch_bits(bits)
 
@@ -347,7 +390,7 @@ def cut_profile(
                 ledger, best, best_mask = prev, values, masks_saved
 
     with trace("cuts.enumerate", network=net.name, nodes=n, counted=m,
-               assignments=total, batch_bits=bits, autotuned=autotune):
+               assignments=total, batch_bits=bits):
         start = 0
         while start < total:
             stop = min(start + (1 << min(bits, n - 1)), total)
@@ -358,7 +401,6 @@ def cut_profile(
             if budget is not None and budget.expired():
                 incr("cuts.enumerate.budget_expiries")
                 break
-            t0 = tuner.clock() if autotune else 0.0
             evaluated = _range_minima(
                 eu, ev, count_shift, start, stop, best, best_mask
             )
@@ -373,10 +415,6 @@ def cut_profile(
                     "best": best.tolist(),
                     "best_mask": [int(x) for x in best_mask],
                 })
-            if autotune:
-                bits = tuner.next_bits(bits, tuner.clock() - t0)
-                if budget is not None:
-                    bits = budget.batch_bits(bits)
             start = stop
 
     complete = ledger.total == total

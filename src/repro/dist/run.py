@@ -191,7 +191,7 @@ def distributed_cut_profile(
         merged into ``timeline.json`` — span tree, summed counters,
         critical path.  The pointer block lands in ``status`` and in the
         ambient collector's ``telemetry`` note, so a traced CLI run's
-        manifest names every artifact.
+        timeline names every artifact.
     """
     if counted is None:
         counted = np.arange(net.num_nodes, dtype=np.int64)
@@ -367,7 +367,7 @@ def distributed_cut_profile(
             "timeline": str(timeline_path),
         }
         # Lands in the ambient collector (if any), so a traced CLI run's
-        # manifest points at the shard files and merged timeline.
+        # timeline header points at the shard files and merged timeline.
         annotate("telemetry", telemetry_info)
 
     summary = coord.summary() or {}

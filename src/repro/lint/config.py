@@ -26,7 +26,7 @@ __all__ = [
 
 
 #: Allowed package→package imports inside ``repro`` (the layer DAG).
-#: Top-level modules (``cli``, ``io``, ``__init__``, ``__main__``) are
+#: Top-level modules (``cli``, ``__init__``, ``__main__``) are
 #: treated as single-module layers.  A package absent from this map is an
 #: RL002 finding itself — new packages must declare their layer.
 DEFAULT_LAYER_DAG: dict[str, frozenset[str]] = {
@@ -55,7 +55,6 @@ DEFAULT_LAYER_DAG: dict[str, frozenset[str]] = {
             "analysis", "resilience", "obs", "perf", "verify", "dist",
         }
     ),
-    "io": frozenset({"topology", "cuts", "core"}),
     # The serving layer fronts the cascade: it may see the solve entry
     # point (core), the canonical fingerprints and cache (perf), the
     # supervised pool and budgets (resilience), certificate round-trips
@@ -67,7 +66,7 @@ DEFAULT_LAYER_DAG: dict[str, frozenset[str]] = {
     "cli": frozenset(
         {
             "topology", "cuts", "embeddings", "expansion", "routing",
-            "analysis", "core", "io", "lint", "resilience", "obs", "perf",
+            "analysis", "core", "lint", "resilience", "obs", "perf",
             "verify", "dist", "serve",
         }
     ),

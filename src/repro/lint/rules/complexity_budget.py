@@ -12,9 +12,9 @@ break that budget:
   layered DP's pin loop runs one *vectorized sweep* per iteration), but
   each must say so: this rule's suppressions require a justification;
 * an **unbounded batch size** — a ``*_BITS``/``batch_bits``/``max_bits``
-  constant or default above 24 materializes gigabyte-scale batch lanes,
-  outside the memory model the autotuner
-  (:class:`repro.cuts.autotune.BatchAutotuner`) is allowed to assume.
+  constant or default above 24 materializes gigabyte-scale batch lanes.
+  The enumeration sweep's fixed tile (``_TILE_BITS`` in
+  :mod:`repro.cuts.enumerate_exact`) is 2^15 masks.
 
 Scope: the declared hot-path modules (``LintConfig.hot_paths``), same as
 RL003.  Suppress with
@@ -135,6 +135,6 @@ class ComplexityBudgetRule(Rule):
                         path, value.lineno, value.col_offset, self.rule_id,
                         f"batch exponent {name}={v} exceeds the complexity "
                         f"budget's ceiling of {_MAX_BATCH_BITS} (2^{v} int64 "
-                        f"lane elements per batch); let the autotuner size "
-                        f"batches or stay within the memory model",
+                        f"lane elements per batch); sweep in fixed tiles "
+                        f"that fit in cache instead",
                     )

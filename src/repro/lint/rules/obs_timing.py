@@ -1,9 +1,9 @@
 """RL007 obs-timing: time the pipeline through obs spans, not raw clocks.
 
 The observability layer (:mod:`repro.obs`) exists so every solver timing
-lands in one run manifest; a stray ``time.monotonic()`` or
+lands in one run timeline; a stray ``time.monotonic()`` or
 ``time.perf_counter()`` inside the cut or routing pipeline produces a
-measurement the manifest never sees.  This rule flags direct uses of the
+measurement the timeline never sees.  This rule flags direct uses of the
 monotonic-clock family — ``time.monotonic``, ``time.perf_counter`` and
 their ``_ns`` variants, whether as ``time.X`` attributes or pulled in via
 ``from time import X`` — inside the instrumented packages and suggests
@@ -44,7 +44,7 @@ class ObsTimingRule(Rule):
     description = (
         "direct time.monotonic()/time.perf_counter() in the instrumented "
         "packages bypasses repro.obs spans; wrap the timed region in "
-        "obs.trace(...) so the run manifest sees it"
+        "obs.trace(...) so the run timeline sees it"
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
@@ -62,7 +62,7 @@ class ObsTimingRule(Rule):
                     path, node.lineno, node.col_offset, self.rule_id,
                     f"direct monotonic clock 'time.{node.attr}' bypasses "
                     f"repro.obs; time this region with obs.trace(...) so the "
-                    f"run manifest records it",
+                    f"run timeline records it",
                     Severity.WARNING,
                 )
             elif isinstance(node, ast.ImportFrom) and node.module == "time":
@@ -72,7 +72,7 @@ class ObsTimingRule(Rule):
                             path, node.lineno, node.col_offset, self.rule_id,
                             f"importing '{alias.name}' from time bypasses "
                             f"repro.obs; time this region with obs.trace(...) "
-                            f"so the run manifest records it",
+                            f"so the run timeline records it",
                             Severity.WARNING,
                         )
                         break

@@ -1,4 +1,4 @@
-"""Observability: tracing spans, solver counters, run manifests.
+"""Observability: tracing spans, solver counters, run timelines.
 
 The cut/expansion pipeline is a cascade of budgeted exponential solvers
 (:mod:`repro.core.fallback`); this package is how a run explains itself.
@@ -10,10 +10,14 @@ Three primitives, all zero-dependency:
   statistics (cuts enumerated, DP states, B&B prunes, worker retries,
   dropped packets, checkpoint writes), incremented through a
   no-op-when-disabled fast path so hot loops pay ~nothing by default;
-* **manifests** — :func:`build_manifest`/:func:`write_manifest` persist
-  one atomically-written JSON artifact per run: seed, git revision,
-  toolchain versions, budget state, the degradation tier that won, every
-  span and every counter.
+* **timelines** — :class:`ShardCollector` journals a process's spans to
+  a crash-safe shard file and :func:`merge_shards` folds any set of
+  shards into one ``repro-telemetry-timeline/1`` document.  It is the
+  one run-record format: a fleet run (``dist run --telemetry``, ``serve
+  --telemetry``) merges many shards, and ``solve --trace`` /
+  ``fuzz --trace`` write a one-shard timeline whose header adds the
+  command, budget state, the degradation tier that won, the result and
+  :func:`capture_environment` (git revision, toolchain versions).
 
 Nothing records unless a :class:`Collector` is active
 (``with collecting() as col: ...``); the CLI's ``solve --trace PATH``
@@ -38,22 +42,13 @@ from .export import (
     write_folded,
     write_openmetrics,
 )
-from .manifest import (
-    MANIFEST_KIND,
-    MANIFEST_SCHEMA,
-    MANIFEST_VERSION,
-    build_manifest,
-    capture_environment,
-    load_manifest,
-    validate_manifest,
-    write_manifest,
-)
 from .telemetry import (
     TELEMETRY_KIND,
     TELEMETRY_VERSION,
     TIMELINE_KIND,
     ShardCollector,
     TraceContext,
+    capture_environment,
     critical_path,
     load_timeline,
     merge_shards,
@@ -73,19 +68,12 @@ __all__ = [
     "gauge",
     "incr",
     "trace",
-    "MANIFEST_KIND",
-    "MANIFEST_SCHEMA",
-    "MANIFEST_VERSION",
-    "build_manifest",
-    "capture_environment",
-    "load_manifest",
-    "validate_manifest",
-    "write_manifest",
     "TELEMETRY_KIND",
     "TELEMETRY_VERSION",
     "TIMELINE_KIND",
     "ShardCollector",
     "TraceContext",
+    "capture_environment",
     "critical_path",
     "load_timeline",
     "merge_shards",

@@ -2,9 +2,8 @@
 
 Two one-way bridges out of the repo's own telemetry formats into the
 standard tool ecosystem, both zero-dependency and both fed by any dict
-carrying ``spans`` / ``counters`` / ``gauges`` — a run manifest
-(:mod:`repro.obs.manifest`) or a merged fleet timeline
-(:mod:`repro.obs.telemetry`) alike:
+carrying ``spans`` / ``counters`` / ``gauges`` — any run timeline
+(:mod:`repro.obs.telemetry`), one-shard or fleet:
 
 * :func:`folded_stacks` renders the span tree in Brendan Gregg's
   *folded stack* format (``root;child;leaf <self-µs>``), the input
@@ -44,7 +43,7 @@ def folded_stacks(doc: dict[str, Any]) -> list[str]:
     the durations of its direct children, clamped at zero (truncated
     children can nominally outlive a truncated parent).  Stacks sharing
     a frame chain aggregate.  Parentage follows span ``id``/``parent_id``
-    when present (manifests and timelines both carry them); spans
+    when present (timelines carry them); spans
     without a resolvable parent are roots.  Lines are sorted, so output
     is deterministic for a given document.
     """

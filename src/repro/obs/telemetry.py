@@ -29,13 +29,20 @@ normalizes everything to the earliest shard's epoch.
 
 Both file formats are versioned (``repro-telemetry/1`` shard files,
 ``repro-telemetry-timeline/1`` merged documents) and validated by
-hand-rolled zero-dependency checkers, like the run manifest.
+hand-rolled zero-dependency checkers.  A timeline is also the one
+run-record format: ``solve --trace`` and ``fuzz --trace`` write a
+one-shard timeline whose header adds what was asked and what came out
+(``command``, ``seed``, ``budget``, ``tier``, ``result``, ``notes``,
+``telemetry``) and the :func:`capture_environment` block.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +55,7 @@ __all__ = [
     "TELEMETRY_VERSION",
     "TIMELINE_KIND",
     "TraceContext",
+    "capture_environment",
     "new_run_id",
     "ShardCollector",
     "read_shard",
@@ -61,6 +69,40 @@ __all__ = [
 TELEMETRY_KIND = "repro-telemetry"
 TELEMETRY_VERSION = 1
 TIMELINE_KIND = "repro-telemetry-timeline"
+
+
+def _git_rev() -> str | None:
+    """The repo's HEAD commit, or ``None`` outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else None
+
+
+def capture_environment() -> dict[str, Any]:
+    """The reproducibility block: interpreter, libraries, platform, rev."""
+    try:
+        import numpy
+
+        numpy_version = str(numpy.__version__)
+    except Exception:  # pragma: no cover - numpy is normally present
+        numpy_version = None
+    return {
+        "python": platform.python_version(),
+        "python_implementation": platform.python_implementation(),
+        "numpy": numpy_version,
+        "platform": platform.platform(),
+        "argv0": os.path.basename(sys.argv[0]) if sys.argv else None,
+        "git_rev": _git_rev(),
+    }
 
 
 def new_run_id() -> str:
@@ -469,7 +511,8 @@ def validate_timeline(data: Any) -> list[str]:
     Beyond field shapes this checks the tree invariants the merger
     guarantees: every non-null ``parent_id`` resolves to a present span,
     span ids are unique, durations are non-negative, and the recorded
-    critical path names existing spans.
+    critical path names existing spans.  The run-record header fields
+    are optional; when present their shapes are checked too.
     """
     problems: list[str] = []
     if not _expect(problems, isinstance(data, dict), "timeline is not an object"):
@@ -532,4 +575,36 @@ def validate_timeline(data: Any) -> list[str]:
             for sid in cp_ids:
                 _expect(problems, sid in ids,
                         f"critical_path names unknown span {sid!r}")
+    _validate_header(problems, data)
     return problems
+
+
+def _validate_header(problems: list[str], data: dict[str, Any]) -> None:
+    """Shape checks for the optional run-record header fields."""
+    command = data.get("command")
+    _expect(problems,
+            command is None or (isinstance(command, list)
+                                and all(isinstance(c, str) for c in command)),
+            "command must be an array of strings or null")
+    seed = data.get("seed")
+    _expect(problems, seed is None or (isinstance(seed, int) and not isinstance(seed, bool)),
+            "seed must be an integer or null")
+    _expect(problems, data.get("tier") is None or isinstance(data["tier"], str),
+            "tier must be a string or null")
+    for field in ("budget", "result", "telemetry"):
+        _expect(problems, data.get(field) is None or isinstance(data[field], dict),
+                f"{field} must be an object or null")
+    _expect(problems, isinstance(data.get("notes", {}), dict), "notes is not an object")
+    env = data.get("environment")
+    if env is not None and _expect(problems, isinstance(env, dict),
+                                   "environment must be an object or null"):
+        _expect(problems, isinstance(env.get("python"), str),
+                "environment.python missing or not a string")
+    telemetry = data.get("telemetry")
+    if isinstance(telemetry, dict):
+        _expect(problems, isinstance(telemetry.get("run_id"), str),
+                "telemetry.run_id missing or not a string")
+        files = telemetry.get("shard_files", [])
+        _expect(problems,
+                isinstance(files, list) and all(isinstance(f, str) for f in files),
+                "telemetry.shard_files is not an array of strings")

@@ -1,26 +1,24 @@
-"""Performance layer: symmetry-aware caching and batched-kernel tuning.
+"""Performance layer: symmetry-aware caching of exact solver results.
 
-Three pieces, built on the paper's own machinery:
+Two pieces, built on the paper's own machinery:
 
 * :mod:`repro.perf.canonical` — canonical instance fingerprints
   quotiented through the L2.1/L2.2 automorphism groups, so isomorphic
   instances share cache keys and witnesses transport between them;
 * :mod:`repro.perf.cache` — :class:`SolverCache`, the atomic on-disk
-  store memoizing cut profiles and bound certificates across runs;
-* :mod:`repro.cuts.autotune` (re-exported here) — the adaptive batch
-  sizing that keeps the exhaustive kernels inside the documented
-  O(E)-vector-ops-per-batch complexity budget.
+  store memoizing cut profiles and bound certificates across runs.
 
 :func:`cached_cut_profile` is the convenience entry point combining the
-first two with :func:`repro.cuts.enumerate_exact.cut_profile`.
+two with :func:`repro.cuts.enumerate_exact.cut_profile`.  It keys cached
+profiles by :data:`~repro.cuts.enumerate_exact.BATCH_CONTRACT_VERSION`,
+re-exported here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..cuts.autotune import BATCH_CONTRACT_VERSION, BatchAutotuner, pin_chunk_count
-from ..cuts.enumerate_exact import CutProfile, cut_profile
+from ..cuts.enumerate_exact import BATCH_CONTRACT_VERSION, CutProfile, cut_profile
 from ..obs import incr
 from ..topology.base import Network
 from .cache import PROFILE_SOLVER, SolverCache
@@ -35,7 +33,6 @@ from .canonical import (
 
 __all__ = [
     "BATCH_CONTRACT_VERSION",
-    "BatchAutotuner",
     "CanonicalForm",
     "PROFILE_SOLVER",
     "SolverCache",
@@ -44,7 +41,6 @@ __all__ = [
     "cut_profile",
     "mask_to_side",
     "permute_mask",
-    "pin_chunk_count",
     "side_to_mask",
     "unpermute_mask",
 ]

@@ -119,7 +119,7 @@ class _TeleInitializer:
     ``dir/pool-<pid>.jsonl`` under the inherited trace context, so every
     span/counter the task code records lands in that worker's shard
     file.  In the *parent* (serial fallback runs the initializer there
-    too) an already-active collector — e.g. a traced CLI run's manifest
+    too) an already-active collector — e.g. a traced CLI run's own
     collector — is left in place: the parent's observations belong to
     the parent's trace.
     """

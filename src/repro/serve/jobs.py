@@ -28,7 +28,12 @@ from ..core.fallback import solve_with_fallback
 from ..obs import current, trace
 from ..resilience.budget import Budget
 from ..topology.base import Network
-from ..verify.serialize import certificate_to_data, network_from_spec, network_spec
+from ..verify.serialize import (
+    certificate_to_data,
+    network_from_spec,
+    network_spec,
+    spec_node_count,
+)
 
 __all__ = [
     "DONE",
@@ -87,14 +92,19 @@ def parse_request(
             raise RequestError('"timeout" must be a positive number of seconds')
         timeout = float(timeout)
     try:
-        net = network_from_spec(spec)
-    except (KeyError, TypeError, ValueError) as exc:
+        # Count before building: an oversized spec costs nothing to refuse.
+        num_nodes = spec_node_count(spec)
+    except ValueError as exc:
         raise RequestError(f"bad network spec: {exc}") from exc
-    if net.num_nodes > max_nodes:
+    if num_nodes > max_nodes:
         raise RequestError(
-            f"network has {net.num_nodes} nodes; this server accepts at "
+            f"network has {num_nodes} nodes; this server accepts at "
             f"most {max_nodes}"
         )
+    try:
+        net = network_from_spec(spec)
+    except ValueError as exc:
+        raise RequestError(f"bad network spec: {exc}") from exc
     return network_spec(net), net, timeout
 
 

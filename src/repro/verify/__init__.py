@@ -31,6 +31,7 @@ from .serialize import (
     load_certificate,
     network_from_spec,
     network_spec,
+    spec_node_count,
     write_certificate,
 )
 
@@ -48,5 +49,6 @@ __all__ = [
     "load_certificate",
     "network_from_spec",
     "network_spec",
+    "spec_node_count",
     "write_certificate",
 ]

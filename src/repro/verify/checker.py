@@ -361,7 +361,7 @@ def check_certificate(
     plain mapping with the same field names (``witness_side`` accepted as
     a raw boolean array).  ``require_witness=False`` relaxes the
     witness-or-marker rule for sources that structurally cannot carry one
-    (run manifests).  With ``net=None`` only the network-independent
+    (a run timeline's result).  With ``net=None`` only the network-independent
     checks run (interval sanity, the witness-or-marker contract).
     """
     fields = _cert_fields(cert)

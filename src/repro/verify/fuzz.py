@@ -6,7 +6,7 @@ The harness generates small random instances — pristine paper families
 graphs, and fault-injected variants via :mod:`repro.resilience.faults` —
 and, on each, runs every applicable solver path:
 
-* exhaustive enumeration (autotuned **and** pinned batch grid — the two
+* exhaustive enumeration (default **and** pinned batch grid — the two
   must be bit-identical);
 * the layered min-plus DP and branch and bound, which must agree with
   enumeration on the bisection width and hand back mutually valid
@@ -75,7 +75,7 @@ __all__ = [
 CORPUS_FORMAT = 1
 
 #: Fixed batch grid used for the bit-identity cross-check against the
-#: autotuned sweep (any value works; the fold is grid-free by contract).
+#: default-grid sweep (any value works; the fold is grid-free by contract).
 _PINNED_BATCH_BITS = 6
 
 _DP_WIDTH_LIMIT = 12
@@ -114,12 +114,12 @@ def differential_check(
         pinned = cut_profile(net, counted=counted, batch_bits=_PINNED_BATCH_BITS)
         if not np.array_equal(prof.values, pinned.values):
             problems.append(
-                "batch-grid sensitivity: autotuned and pinned sweeps "
+                "batch-grid sensitivity: default and pinned sweeps "
                 f"disagree: {prof.values.tolist()} vs {pinned.values.tolist()}"
             )
         if not np.array_equal(prof.witnesses, pinned.witnesses):
             problems.append(
-                "batch-grid sensitivity: autotuned and pinned sweeps pick "
+                "batch-grid sensitivity: default and pinned sweeps pick "
                 "different witnesses"
             )
 

@@ -13,11 +13,12 @@ the wrong graph.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "CERTIFICATE_FORMAT",
     "network_spec",
     "network_from_spec",
+    "spec_node_count",
     "certificate_to_data",
     "write_certificate",
     "load_certificate",
@@ -74,40 +76,106 @@ def network_spec(net: Network) -> dict[str, Any]:
     return spec
 
 
-def network_from_spec(spec: dict[str, Any]) -> Network:
-    """Rebuild the network a spec describes, refusing drifted specs."""
-    family = spec.get("family")
-    params = spec.get("params", {})
-    if family == "bn":
-        net: Network = Butterfly(int(params["n"]), wraparound=False)
-    elif family == "wn":
-        net = Butterfly(int(params["n"]), wraparound=True)
-    elif family == "ccc":
-        net = CubeConnectedCycles(int(params["n"]))
-    elif family == "mos":
-        net = MeshOfStars(int(params["j"]), int(params["k"]))
-    elif family == "torus":
-        net = Torus([int(s) for s in params["sides"]])
-    elif family == "mesh":
-        net = Mesh([int(s) for s in params["sides"]])
-    elif family == "fbfly":
-        net = FlattenedButterfly(int(params["ary"]), int(params["dims"]))
-    elif family == "fattree":
-        net = FatTree(int(params["depth"]))
-    elif family == "generic":
-        net = Network(
-            list(range(int(spec["num_nodes"]))), spec["edges"],
-            name=str(spec.get("name", "generic")),
+#: No index reaches this many nodes; node counts stop growing here.
+_INDEX_LIMIT = 1 << 63
+
+
+def _capped_product(factors: list[int]) -> int:
+    """``prod(factors)``, or :data:`_INDEX_LIMIT` once it gets that large."""
+    total = 1
+    for f in factors:
+        total *= f
+        if abs(total) >= _INDEX_LIMIT:
+            return _INDEX_LIMIT
+    return total
+
+
+def _spec_family(spec: Any) -> Any:
+    if not isinstance(spec, dict):
+        raise ValueError(
+            f"malformed network spec: expected a JSON object, got {type(spec).__name__}"
         )
-    else:
-        raise ValueError(f"unknown network family {family!r}")
+    return spec.get("family")
+
+
+@contextlib.contextmanager
+def _spec_errors() -> Iterator[None]:
+    """Report a spec's missing keys and mistyped values as ``ValueError``."""
+    try:
+        yield
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"malformed network spec: {type(exc).__name__}: {exc}") from exc
+
+
+def spec_node_count(spec: Any) -> int:
+    """The node count of the network a spec names, without building it.
+
+    Lets a server refuse an oversized request before paying for it.
+    Exact for every spec :func:`network_from_spec` accepts, except that a
+    count of ``2^63`` or more is reported as about ``2^63``.  Raises
+    ``ValueError`` for a malformed spec.
+    """
+    family = _spec_family(spec)
+    with _spec_errors():
+        params = spec.get("params", {})
+        if family in ("bn", "wn", "ccc"):
+            n = int(params["n"])
+            lg = max(n, 1).bit_length() - 1  # log2 n when n is a power of two
+            return n * (lg + 1) if family == "bn" else n * lg
+        if family == "mos":
+            j, k = int(params["j"]), int(params["k"])
+            return j + j * k + k
+        if family in ("torus", "mesh"):
+            return _capped_product([int(s) for s in params["sides"]])
+        if family == "fbfly":
+            # Past 64 factors of ary >= 2 the product is capped anyway.
+            return _capped_product([int(params["ary"])] * min(int(params["dims"]), 64))
+        if family == "fattree":
+            return _capped_product([2] * min(int(params["depth"]) + 1, 64)) - 1
+        if family == "generic":
+            return int(spec["num_nodes"])
+    raise ValueError(f"unknown network family {family!r}")
+
+
+def network_from_spec(spec: Any) -> Network:
+    """Rebuild the network a spec describes, refusing drifted specs.
+
+    Raises ``ValueError`` for every malformed or drifted spec.
+    """
+    family = _spec_family(spec)
+    with _spec_errors():
+        params = spec.get("params", {})
+        if family == "bn":
+            net: Network = Butterfly(int(params["n"]), wraparound=False)
+        elif family == "wn":
+            net = Butterfly(int(params["n"]), wraparound=True)
+        elif family == "ccc":
+            net = CubeConnectedCycles(int(params["n"]))
+        elif family == "mos":
+            net = MeshOfStars(int(params["j"]), int(params["k"]))
+        elif family == "torus":
+            net = Torus([int(s) for s in params["sides"]])
+        elif family == "mesh":
+            net = Mesh([int(s) for s in params["sides"]])
+        elif family == "fbfly":
+            net = FlattenedButterfly(int(params["ary"]), int(params["dims"]))
+        elif family == "fattree":
+            net = FatTree(int(params["depth"]))
+        elif family == "generic":
+            net = Network(
+                list(range(int(spec["num_nodes"]))), spec["edges"],
+                name=str(spec.get("name", "generic")),
+            )
+        else:
+            raise ValueError(f"unknown network family {family!r}")
+        num_nodes = int(spec.get("num_nodes", net.num_nodes))
     digest = spec.get("edge_digest")
     if digest is not None and digest != net.edge_digest:
         raise ValueError(
             f"network spec drift: rebuilt {net.name} has edge digest "
             f"{net.edge_digest[:16]}…, spec claims {str(digest)[:16]}…"
         )
-    if int(spec.get("num_nodes", net.num_nodes)) != net.num_nodes:
+    if num_nodes != net.num_nodes:
         raise ValueError(
             f"network spec drift: rebuilt {net.name} has {net.num_nodes} "
             f"nodes, spec claims {spec.get('num_nodes')}"

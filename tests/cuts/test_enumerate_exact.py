@@ -198,11 +198,19 @@ class TestFingerprint:
         )
 
     def test_contract_version_is_keyed(self):
-        from repro.cuts.autotune import BATCH_CONTRACT_VERSION
-        from repro.cuts.enumerate_exact import _fingerprint
+        from repro.cuts.enumerate_exact import BATCH_CONTRACT_VERSION, _fingerprint
 
         fp = _fingerprint(path_graph(6), np.arange(6))
         assert f":v{BATCH_CONTRACT_VERSION}:" in fp
+
+    def test_key_is_unchanged_since_contract_v2(self):
+        """Checkpoints and cache entries written before the fixed tile
+        grid must still be found: the key is pinned byte for byte."""
+        from repro.cuts.enumerate_exact import _fingerprint
+
+        assert _fingerprint(path_graph(6), np.arange(6)) == (
+            "cut-profile:v2:P6:6n:ee2eaf8cf551bac27:c98722e2ebed8ed3d"
+        )
 
     def test_batch_size_is_not_keyed(self, tmp_path):
         """Differing batch grids share checkpoints (the fold is batch-free)."""
@@ -214,3 +222,98 @@ class TestFingerprint:
         assert prof.complete
         assert np.array_equal(prof.values, fresh.values)
         assert np.array_equal(prof.witnesses, fresh.witnesses)
+
+
+class TestBitIdentity:
+    def test_default_grid_matches_fixed(self, w4):
+        fixed = cut_profile(w4, batch_bits=4)
+        default = cut_profile(w4)
+        np.testing.assert_array_equal(default.values, fixed.values)
+        np.testing.assert_array_equal(default.witnesses, fixed.witnesses)
+
+    def test_any_two_grids_agree(self, b4):
+        a = cut_profile(b4, batch_bits=3)
+        b = cut_profile(b4, batch_bits=11)
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.witnesses, b.witnesses)
+
+    def test_contract_version_is_current(self):
+        from repro.cuts.enumerate_exact import BATCH_CONTRACT_VERSION
+
+        assert BATCH_CONTRACT_VERSION == 2
+
+
+def _ring_with_chords(n, seed):
+    """A connected multigraph with many tied cuts: a ring plus random chords."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [tuple(int(x) for x in rng.choice(n, 2, replace=False)) for _ in range(n // 2)]
+    return Network(range(n), edges, name=f"R{n}s{seed}")
+
+
+_GRAPHS = {n: _ring_with_chords(n, seed=n) for n in (17, 18, 20)}
+
+
+def _counted(n, subset):
+    return np.arange(0, n, 3, dtype=np.int64) if subset else None
+
+
+def _one_batch(monkeypatch, n, subset):
+    """The sweep as one tile and one batch: the grid-free reference."""
+    from repro.cuts import enumerate_exact
+
+    with monkeypatch.context() as m:
+        m.setattr(enumerate_exact, "_TILE_BITS", n - 1)
+        m.setattr(enumerate_exact, "_BATCH_BITS", n - 1)
+        return cut_profile(_GRAPHS[n], _counted(n, subset))
+
+
+class TestFixedGrid:
+    """Tiles of 2^15 masks and batches of 2^18 change no value or witness."""
+
+    @pytest.mark.parametrize(
+        ("n", "subset", "batch_bits"),
+        [
+            (17, False, 4), (17, True, 4),
+            (18, False, 15), (18, True, 16), (18, False, None),
+            (20, False, 16), (20, True, None), (20, True, 15),
+        ],
+    )
+    def test_matches_one_batch_sweep(self, monkeypatch, n, subset, batch_bits):
+        ref = _one_batch(monkeypatch, n, subset)
+        prof = cut_profile(_GRAPHS[n], _counted(n, subset), batch_bits=batch_bits)
+        assert prof.complete
+        np.testing.assert_array_equal(prof.values, ref.values)
+        np.testing.assert_array_equal(prof.witnesses, ref.witnesses)
+
+    def test_default_batch_checkpoint_resumes_under_small_batches(self, tmp_path):
+        from repro.resilience import Budget
+
+        net = _GRAPHS[20]  # 2^19 masks: two default batches
+        ck = tmp_path / "profile.json"
+        partial = cut_profile(net, budget=Budget(1.5, clock=_PollClock()), checkpoint=ck)
+        assert not partial.complete
+        resumed = cut_profile(net, checkpoint=ck, batch_bits=6)
+        fresh = cut_profile(net)
+        assert resumed.complete
+        np.testing.assert_array_equal(resumed.values, fresh.values)
+        np.testing.assert_array_equal(resumed.witnesses, fresh.witnesses)
+
+    def test_shards_that_split_a_tile_match_the_serial_profile(self):
+        from repro.cuts.enumerate_exact import _complement_fold, shard_minima, sweep_ranges
+
+        net = _GRAPHS[18]
+        counted = np.arange(18, dtype=np.int64)
+        ranges = sweep_ranges(1 << 17, 3)
+        assert any(lo % (1 << 15) for lo, _ in ranges[1:])
+        best = np.full(19, np.iinfo(np.int64).max, dtype=np.int64)
+        best_mask = np.zeros(19, dtype=np.uint64)
+        for lo, hi in ranges:
+            part, part_mask = shard_minima(net.edges, counted, lo, hi)
+            better = part < best
+            best[better] = part[better]
+            best_mask[better] = part_mask[better]
+        values, witnesses = _complement_fold(best, best_mask, 18)
+        serial = cut_profile(net)
+        np.testing.assert_array_equal(values, serial.values)
+        np.testing.assert_array_equal(witnesses, serial.witnesses)

@@ -11,6 +11,7 @@ from repro.obs import (
     TIMELINE_KIND,
     ShardCollector,
     TraceContext,
+    capture_environment,
     critical_path,
     load_timeline,
     merge_shards,
@@ -268,6 +269,21 @@ class TestTimelineFile:
         with pytest.raises(ValueError):
             load_timeline(tmp_path / "absent.json")
 
+    def test_write_is_atomic_and_replaces(self, tmp_path):
+        doc = merge_shards(_make_fleet(tmp_path))
+        path = tmp_path / "deep" / "timeline.json"
+        write_timeline(path, doc)
+        # Values JSON cannot hold (a run record's notes) degrade to strings.
+        write_timeline(path, {**doc, "notes": {"path": tmp_path}})
+        assert not path.with_name(path.name + ".tmp").exists()
+        assert load_timeline(path)["notes"] == {"path": str(tmp_path)}
+
+    def test_load_rejects_non_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_timeline(path)
+
     def test_validator_rejects_structural_damage(self, tmp_path):
         doc = merge_shards(_make_fleet(tmp_path))
         assert validate_timeline(doc) == []
@@ -289,8 +305,36 @@ class TestTimelineFile:
         assert any("not an integer" in p for p in validate_timeline(bad))
 
         bad = json.loads(json.dumps(doc))
+        bad["gauges"] = {"depth": "high"}
+        assert any("not a number" in p for p in validate_timeline(bad))
+
+        bad = json.loads(json.dumps(doc))
         bad["critical_path"]["span_ids"] = ["ghost/1"]
         assert any("unknown span" in p for p in validate_timeline(bad))
 
         assert validate_timeline([]) == ["timeline is not an object"]
         assert any("kind" in p for p in validate_timeline({"kind": "x"}))
+
+    def test_validator_checks_the_run_record_header(self, tmp_path):
+        doc = merge_shards(_make_fleet(tmp_path))
+        doc.update(
+            command=["solve", "bn", "3"], seed=None, tier="tier-2",
+            budget={"seconds": None, "expired": False},
+            result={"lower": 8, "upper": 8}, notes={"winning_tier": "tier-2"},
+            telemetry=None, environment=capture_environment(),
+        )
+        assert validate_timeline(json.loads(json.dumps(doc, default=str))) == []
+
+        damage = {
+            "command": ("command", "solve bn 3"),
+            "seed": ("seed", True),
+            "tier": ("tier", 2),
+            "result": ("result", [8, 8]),
+            "notes": ("notes", None),
+            "environment.python": ("environment", {"numpy": "2.0"}),
+            "telemetry.run_id": ("telemetry", {"shard_files": []}),
+            "telemetry.shard_files": ("telemetry", {"run_id": "r", "shard_files": [1]}),
+        }
+        for expected, (field, value) in damage.items():
+            bad = {**doc, field: value}
+            assert any(expected in p for p in validate_timeline(bad)), expected

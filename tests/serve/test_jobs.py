@@ -73,6 +73,17 @@ class TestParseRequest:
             parse_request(body, max_nodes=16)
         parse_request(body, max_nodes=32)  # 8 * lg(8)+1 = 32 nodes: allowed
 
+    def test_oversized_spec_is_refused_before_building(self, monkeypatch):
+        import repro.verify.serialize as serialize
+
+        def _no_build(*args, **kwargs):
+            raise AssertionError("the family constructor ran")
+
+        monkeypatch.setattr(serialize, "Butterfly", _no_build)
+        body = json.dumps({"family": "bn", "params": {"n": 1 << 20}})
+        with pytest.raises(RequestError, match="22020096 nodes.*at most 4096"):
+            parse_request(body)
+
 
 class TestSolveJob:
     def test_success_returns_verifiable_certificate(self):

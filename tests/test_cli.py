@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import validate_manifest
+from repro.obs import validate_timeline
 
 
 class TestCLI:
@@ -59,22 +59,26 @@ class TestCLI:
 
 class TestSolveTrace:
     def test_trace_writes_schema_valid_manifest(self, capsys, tmp_path):
-        path = tmp_path / "manifest.json"
+        path = tmp_path / "run.json"
         # "bn 3" is the dimension convenience: B8, 32 nodes, so tier-1
         # enumeration is skipped and the layered DP wins exactly.
         assert main(["solve", "bn", "3", "--trace", str(path)]) == 0
         assert "BW(B8) = 8" in capsys.readouterr().out
         data = json.loads(path.read_text())
-        assert validate_manifest(data) == []
+        assert validate_timeline(data) == []
+        assert data["kind"] == "repro-telemetry-timeline"
+        assert isinstance(data["environment"]["python"], str)
         assert data["tier"] == "tier-2"
         assert data["command"] == ["solve", "bn", "3"]
         assert data["result"]["exact"] is True
         # The acceptance bar: >= 3 distinct spans, >= 5 distinct counters.
         assert len({s["name"] for s in data["spans"]}) >= 3
         assert len(data["counters"]) >= 5
+        # The one-shard timeline is built from a temporary shard.
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_trace_records_budget(self, tmp_path):
-        path = tmp_path / "manifest.json"
+        path = tmp_path / "run.json"
         assert main(["solve", "bn", "3", "--timeout", "30",
                      "--trace", str(path)]) == 0
         data = json.loads(path.read_text())
@@ -90,25 +94,32 @@ class TestSolveTrace:
 
 class TestStats:
     @pytest.fixture()
-    def manifest_path(self, tmp_path):
-        path = tmp_path / "manifest.json"
+    def run_path(self, tmp_path):
+        path = tmp_path / "run.json"
         assert main(["solve", "bn", "3", "--trace", str(path)]) == 0
         return path
 
-    def test_pretty_print(self, capsys, manifest_path):
+    def test_pretty_print(self, capsys, run_path):
         capsys.readouterr()
-        assert main(["stats", str(manifest_path)]) == 0
+        assert main(["stats", str(run_path)]) == 0
         out = capsys.readouterr().out
         assert "winning tier: tier-2" in out
         assert "solve.fallback" in out
         assert "cuts.layered_dp.sweeps" in out
 
-    def test_json_dump_round_trips(self, capsys, manifest_path):
+    def test_json_dump_round_trips(self, capsys, run_path):
         capsys.readouterr()
-        assert main(["stats", str(manifest_path), "--json"]) == 0
+        assert main(["stats", str(run_path), "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert validate_manifest(data) == []
+        assert validate_timeline(data) == []
         assert data["tier"] == "tier-2"
+
+    def test_exports_of_a_solve_timeline(self, tmp_path, run_path):
+        metrics, flame = tmp_path / "m.txt", tmp_path / "f.txt"
+        assert main(["stats", str(run_path), "--openmetrics", str(metrics),
+                     "--flame", str(flame)]) == 0
+        assert "repro_cuts_layered_dp_sweeps_total 1" in metrics.read_text()
+        assert flame.read_text().startswith("solve.fallback ")
 
     def test_missing_file_fails(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path / "absent.json")]) == 1
@@ -119,7 +130,18 @@ class TestStats:
         path.write_text(json.dumps({"kind": "wrong", "version": 1}))
         assert main(["stats", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "invalid manifest" in err and "kind" in err
+        assert "invalid timeline" in err and "kind" in err
+
+    def test_old_manifest_is_refused_in_one_line(self, capsys, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "kind": "repro-obs-manifest", "version": 1,
+            "environment": {"python": "3.11"}, "spans": [], "counters": {},
+        }))
+        assert main(["stats", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "no longer read; re-run with --trace" in err
 
 
 class TestDist:

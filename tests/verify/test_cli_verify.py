@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import validate_manifest
+from repro.obs import validate_timeline
 
 
 @pytest.fixture
@@ -64,6 +64,71 @@ class TestVerifyCertificate:
         assert "verify: OK" in capsys.readouterr().out
 
 
+@pytest.fixture
+def bn3_cert(tmp_path):
+    path = tmp_path / "b8.cert.json"
+    assert main(["solve", "bn", "3", "--no-cache", "--certificate", str(path)]) == 0
+    return path
+
+
+def _generic_without_edges(network):
+    return {"family": "generic", "num_nodes": network["num_nodes"]}
+
+
+class TestMalformedCertificateSpecs:
+    """A malformed network spec is REJECTED (exit 1), never a traceback."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda net: [],
+            lambda net: {**net, "params": {}},
+            _generic_without_edges,
+        ],
+        ids=["network-is-a-list", "params-empty", "generic-without-edges"],
+    )
+    def test_rejected_without_traceback(self, bn3_cert, capsys, edit):
+        data = json.loads(bn3_cert.read_text())
+        data["network"] = edit(data["network"])
+        bn3_cert.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(bn3_cert)]) == 1
+        err = capsys.readouterr().err
+        assert "REJECTED" in err and "malformed network spec" in err
+        assert "Traceback" not in err
+
+
+class TestVerifyRunRecord:
+    def test_timeline_without_a_result_has_nothing_to_verify(self, tmp_path, capsys):
+        trace = tmp_path / "run.json"
+        assert main(["solve", "bn", "3", "--trace", str(trace)]) == 0
+        data = json.loads(trace.read_text())
+        data["result"] = None
+        trace.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(trace)]) == 2
+        assert "no solve result to verify" in capsys.readouterr().err
+
+    def test_fuzz_timeline_has_nothing_to_verify(self, tmp_path, capsys):
+        trace = tmp_path / "fuzz.json"
+        assert main(["fuzz", "--seed", "2", "--runs", "2",
+                     "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(trace)]) == 2
+        assert "no solve result to verify" in capsys.readouterr().err
+
+    def test_old_manifest_is_refused_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "kind": "repro-obs-manifest", "version": 1, "result": None,
+            "environment": {"python": "3.11"}, "spans": [], "counters": {},
+        }))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "no longer read; re-run with --trace" in err
+
+
 class TestFuzzCommand:
     def test_smoke_fuzz_exits_zero(self, capsys):
         assert main(["fuzz", "--seed", "1", "--runs", "5"]) == 0
@@ -75,9 +140,10 @@ class TestFuzzCommand:
         assert main(["fuzz", "--seed", "2", "--runs", "3",
                      "--corpus", str(tmp_path / "corpus"),
                      "--trace", str(trace)]) == 0
-        manifest = json.loads(trace.read_text())
-        validate_manifest(manifest)
-        assert manifest["result"]["disagreements"] == 0
+        timeline = json.loads(trace.read_text())
+        assert validate_timeline(timeline) == []
+        assert timeline["seed"] == 2
+        assert timeline["result"]["disagreements"] == 0
 
     def test_stats_reads_a_fuzz_manifest(self, tmp_path, capsys):
         trace = tmp_path / "fuzz.json"

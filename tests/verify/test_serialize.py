@@ -9,7 +9,11 @@ from repro.core import solve_with_fallback
 from repro.topology import (
     butterfly,
     cube_connected_cycles,
+    fat_tree,
+    flattened_butterfly,
+    mesh,
     mesh_of_stars,
+    torus,
     wrapped_butterfly,
 )
 from repro.topology.base import Network
@@ -19,6 +23,7 @@ from repro.verify import (
     load_certificate,
     network_from_spec,
     network_spec,
+    spec_node_count,
     write_certificate,
 )
 
@@ -79,3 +84,62 @@ def test_wrong_format_marker_is_rejected(tmp_path):
     path.write_text(json.dumps({"format": "something/else"}))
     with pytest.raises(ValueError, match=CERTIFICATE_FORMAT):
         load_certificate(path)
+
+
+_COUNT_CASES = (
+    [butterfly(n) for n in (2, 4, 8, 16)]
+    + [wrapped_butterfly(n) for n in (4, 8, 16)]
+    + [cube_connected_cycles(n) for n in (4, 8, 16)]
+    + [mesh_of_stars(j, k) for j, k in ((1, 1), (2, 3), (4, 2))]
+    + [torus(3, 4), torus(3, 3, 3), mesh(2, 5), mesh(4, 4)]
+    + [flattened_butterfly(a, d) for a, d in ((2, 1), (3, 2), (4, 3))]
+    + [fat_tree(d) for d in (1, 2, 4)]
+    + [Network(list(range(4)), [(0, 1), (1, 2), (2, 3)], name="path4")]
+)
+
+
+@pytest.mark.parametrize("net", _COUNT_CASES, ids=lambda net: net.name)
+def test_spec_node_count_matches_the_built_network(net):
+    spec = network_spec(net)
+    assert spec_node_count(spec) == network_from_spec(spec).num_nodes == net.num_nodes
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "fbfly", "params": {"ary": 2, "dims": 10**12}},
+        {"family": "fattree", "params": {"depth": 10**12}},
+        {"family": "torus", "params": {"sides": [10**9] * 1000}},
+    ],
+    ids=["fbfly", "fattree", "torus"],
+)
+def test_spec_node_count_stops_at_the_index_limit(spec):
+    assert spec_node_count(spec) >= (1 << 63) - 1
+
+
+_MALFORMED_PARAMS = [
+    [],
+    {"family": "bn", "params": {}},
+    {"family": "bn", "params": []},
+    {"family": "bn", "params": {"n": None}},
+    {"family": "torus", "params": {"sides": 5}},
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    _MALFORMED_PARAMS + [
+        {"family": "generic", "num_nodes": 3},
+        {"family": "generic", "num_nodes": 2, "edges": [{"a": 1}]},
+        {"family": "generic", "num_nodes": 2, "edges": [[0, 10**30]]},
+    ],
+)
+def test_malformed_specs_raise_value_error(spec):
+    with pytest.raises(ValueError, match="malformed"):
+        network_from_spec(spec)
+
+
+@pytest.mark.parametrize("spec", _MALFORMED_PARAMS)
+def test_malformed_params_cannot_be_counted(spec):
+    with pytest.raises(ValueError, match="malformed"):
+        spec_node_count(spec)
