@@ -1,10 +1,10 @@
 """L32 — Lemma 3.2: ``BW(Wn) = n``.
 
-Exact values by the layered DP through ``W8``; the verified column-cut
-witness (= n) plus the theorem evidence beyond.
+Exact values by the cascade's exact tiers through ``W8``; its claim tier
+beyond: the verified column-cut witness (= n) plus the lemma.
 """
 
-from repro.core import wrapped_bisection_width
+from repro.core import solve_with_fallback
 from repro.cuts import column_prefix_cut, layered_cut_profile
 from repro.topology import wrapped_butterfly
 
@@ -14,8 +14,8 @@ from _report import emit
 def _rows():
     rows = [f"{'n':>6} {'BW(Wn)':>10} {'paper':>6}  evidence"]
     for n in (4, 8, 16, 64, 256):
-        cert = wrapped_bisection_width(n)
-        ev = "exact DP" if n <= 8 else "Lemma 3.2 + verified column cut"
+        cert = solve_with_fallback(wrapped_butterfly(n))
+        ev = "exact" if n <= 8 else "Lemma 3.2 + verified column cut"
         rows.append(f"{n:>6} {int(cert.upper):>10} {n:>6}  {ev}")
     return rows
 

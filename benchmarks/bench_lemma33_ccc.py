@@ -1,10 +1,11 @@
 """L33 — Lemma 3.3: ``BW(CCCn) = n/2``.
 
-Exact values by the layered DP for CCC4/CCC8; the verified dimension cut
-and the ``Wn``-embedding lower bound (measured congestion 2) beyond.
+Exact values by the cascade's exact tiers for CCC4/CCC8; its claim tier
+beyond: the verified dimension cut plus the lemma, whose ``Wn``-embedding
+lower bound (measured congestion 2) is shown below the table.
 """
 
-from repro.core import ccc_bisection_width
+from repro.core import solve_with_fallback
 from repro.cuts import ccc_dimension_cut
 from repro.embeddings import bisection_lower_bound, wrapped_into_ccc
 from repro.topology import cube_connected_cycles
@@ -15,8 +16,8 @@ from _report import emit
 def _rows():
     rows = [f"{'n':>6} {'BW(CCCn)':>10} {'paper n/2':>10}  evidence"]
     for n in (4, 8, 16, 64):
-        cert = ccc_bisection_width(n)
-        ev = "exact DP" if n <= 8 else "Wn embedding / dimension cut"
+        cert = solve_with_fallback(cube_connected_cycles(n))
+        ev = "exact" if n <= 8 else "Wn embedding / dimension cut"
         rows.append(f"{n:>6} {int(cert.upper):>10} {n // 2:>10}  {ev}")
     emb, _ = wrapped_into_ccc(16)
     rows.append("")

@@ -2,10 +2,11 @@
 
 Regenerates the theorem as a finite-size series:
 
-* exact ``BW(Bn)`` by the layered DP for ``n <= 8``;
-* certified intervals [best lower bound, best verified cut] for
-  ``n = 2^10 .. 2^13`` — with the constructed bisection strictly below the
-  folklore value ``n`` (the paper's headline surprise);
+* exact ``BW(Bn)`` by the cascade's exact tiers for ``n <= 8``;
+* certified intervals from the cascade's claim tier for
+  ``n = 2^10 .. 2^13``: the strict Theorem 2.20 floor below, the verified
+  construction above — strictly below the folklore value ``n`` (the
+  paper's headline surprise);
 * the analytic pullback-plan series out to ``n = 2^3200``, descending
   toward the limit ``2(sqrt 2 - 1) ≈ 0.8284``.
 """
@@ -14,7 +15,7 @@ import math
 
 import pytest
 
-from repro.core import butterfly_bisection_width
+from repro.core import solve_with_fallback
 from repro.cuts import best_plan, build_planned_bisection, layered_cut_profile
 from repro.topology import butterfly
 
@@ -28,15 +29,15 @@ def _series():
     lines = [f"{'n':>10} {'lower':>12} {'upper':>12} {'upper/n':>8}  evidence"]
     records = []
     for n in (2, 4, 8):
-        cert = butterfly_bisection_width(n)
+        cert = solve_with_fallback(butterfly(n))
         lines.append(
-            f"{n:>10} {cert.lower:>12} {cert.upper:>12} {cert.upper / n:>8.4f}  exact (DP)"
+            f"{n:>10} {cert.lower:>12} {cert.upper:>12} {cert.upper / n:>8.4f}  exact"
         )
         records.append({"n": n, "lower": int(cert.lower), "upper": int(cert.upper),
-                        "ratio": cert.upper / n, "evidence": "exact (DP)"})
+                        "ratio": cert.upper / n, "evidence": "exact"})
     for lg in (10, 11, 12, 13):
         n = 1 << lg
-        cert = butterfly_bisection_width(n)
+        cert = solve_with_fallback(butterfly(n))
         below = "< n  (folklore refuted)" if cert.upper < n else ""
         lines.append(
             f"{n:>10} {cert.lower:>12} {cert.upper:>12} {cert.upper / n:>8.4f}  "

@@ -20,15 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import butterfly
 from repro.analysis import estimate_lemma_219_constant, estimate_theorem_220_constant
-from repro.core import butterfly_bisection_width
+from repro.core import solve_with_fallback
 from repro.cuts import best_plan
 from repro.verify import check_certificate, load_certificate, write_certificate
 
 
 def main() -> None:
     n = 2048
-    cert = butterfly_bisection_width(n)
+    cert = solve_with_fallback(butterfly(n))
     print(cert)
     cut = cert.witness
     print(f"witness: |S| = {cut.s_size}, capacity = {cut.capacity}")

@@ -6,13 +6,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import butterfly, wrapped_butterfly, cube_connected_cycles
-from repro.core import (
-    butterfly_bisection_width,
-    ccc_bisection_width,
-    check,
-    edge_expansion,
-    wrapped_bisection_width,
-)
+from repro.core import check, edge_expansion, solve_with_fallback
 from repro.topology import degree_census, diameter
 from repro.topology.render import ascii_butterfly
 
@@ -31,10 +25,12 @@ def main() -> None:
     print()
 
     # --- certified bisection widths (the paper's main quantities) -------
-    print(butterfly_bisection_width(8))     # exact: the 32-node DP
-    print(wrapped_bisection_width(8))       # Lemma 3.2: = n
-    print(ccc_bisection_width(8))           # Lemma 3.3: = n/2
-    print(butterfly_bisection_width(1024))  # interval: Theorem 2.20 at work
+    # One cascade: exact solvers first, then the paper's closed form and
+    # construction for a family instance past their reach.
+    print(solve_with_fallback(b8))                         # exact: the 32-node DP
+    print(solve_with_fallback(wrapped_butterfly(16)))      # Lemma 3.2: = n
+    print(solve_with_fallback(cube_connected_cycles(16)))  # Lemma 3.3: = n/2
+    print(solve_with_fallback(butterfly(1024)))            # Theorem 2.20 interval
     print()
 
     # --- expansion (Section 4) ------------------------------------------

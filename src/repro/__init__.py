@@ -12,8 +12,8 @@ theorem-level certified API (:mod:`repro.core`).
 Quickstart
 ----------
 >>> from repro import butterfly, wrapped_butterfly
->>> from repro.core import butterfly_bisection_width
->>> cert = butterfly_bisection_width(8)          # exact for small n
+>>> from repro.core import solve_with_fallback
+>>> cert = solve_with_fallback(butterfly(8))     # exact for small n
 >>> cert.is_exact, cert.value
 (True, 8)
 """

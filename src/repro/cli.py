@@ -4,10 +4,6 @@ Subcommands
 -----------
 ``info N [--wraparound]``
     Structure census of the butterfly: nodes, degrees, diameter.
-``bisection {bn,wn,ccc,torus,mesh,fattree,fbfly} N [--dims D]``
-    Certified bisection width with provenance.  For the product families
-    ``N`` is the side (torus/mesh), radix (fbfly) or depth (fattree) and
-    ``--dims`` the number of dimensions (default 2).
 ``expansion {bn,wn} N K [--node]``
     Certified edge (default) or node expansion at set size ``K``.
 ``folklore N``
@@ -18,7 +14,12 @@ Subcommands
 [--certificate PATH]``
     Certified ``BW`` interval by the degradation cascade
     (:func:`repro.core.fallback.solve_with_fallback`): exact solvers under
-    a wall-clock budget, heuristics as fallback, always a valid bound.
+    a wall-clock budget, then the paper's closed form and construction
+    for a family instance, heuristics as fallback, always a valid bound.
+    For the product families ``N`` is the side (torus/mesh), radix
+    (fbfly) or depth (fattree) and ``--dims`` the number of dimensions
+    (default 2).  A size the family rejects is a usage error (exit 2).
+    ``bisection`` is an alias.
     ``--trace`` activates :mod:`repro.obs` and writes a run timeline
     (spans, counters, winning tier, result, environment) to ``PATH``.
     ``--cache DIR`` memoizes results in a
@@ -153,27 +154,6 @@ def _family_network(family: str, n: int, dims: int = 2):
     }[family](n)
 
 
-def _cmd_bisection(args: argparse.Namespace) -> int:
-    from .core import (
-        butterfly_bisection_width, wrapped_bisection_width, ccc_bisection_width,
-        torus_bisection_width, mesh_bisection_width, fat_tree_bisection_width,
-        flattened_butterfly_bisection_width,
-    )
-
-    dims = getattr(args, "dims", 2)
-    fn = {
-        "bn": butterfly_bisection_width,
-        "wn": wrapped_bisection_width,
-        "ccc": ccc_bisection_width,
-        "torus": lambda n: torus_bisection_width(n, dims),
-        "mesh": lambda n: mesh_bisection_width(n, dims),
-        "fattree": fat_tree_bisection_width,
-        "fbfly": lambda n: flattened_butterfly_bisection_width(n, dims),
-    }[args.family]
-    print(fn(args.n))
-    return 0
-
-
 def _cmd_expansion(args: argparse.Namespace) -> int:
     from .core import edge_expansion, node_expansion
     from .topology import Butterfly
@@ -208,11 +188,20 @@ def _resolve_cache_dir(args: argparse.Namespace) -> str | None:
     return getattr(args, "cache", None) or os.environ.get("REPRO_CACHE_DIR") or None
 
 
+def _usage_error(command: str, exc: ValueError) -> int:
+    """Report a rejected instance size as a one-line usage error (exit 2)."""
+    print(f"repro-butterfly {command}: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     from .core import solve_with_fallback
     from .resilience import Budget
 
-    net = _family_network(args.family, args.n, getattr(args, "dims", 2))
+    try:
+        net = _family_network(args.family, args.n, getattr(args, "dims", 2))
+    except ValueError as exc:
+        return _usage_error(args.command, exc)
     budget = Budget(args.timeout) if args.timeout is not None else None
     cache_dir = _resolve_cache_dir(args)
     dist_kwargs = {
@@ -423,7 +412,10 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
     from .dist import distributed_cut_profile
     from .resilience import Budget, CrashSchedule
 
-    net = _dist_network(args)
+    try:
+        net = _dist_network(args)
+    except ValueError as exc:
+        return _usage_error("dist run", exc)
     budget = Budget(args.timeout) if args.timeout is not None else None
     schedule = None
     if args.chaos_kills:
@@ -877,16 +869,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--wraparound", action="store_true")
     p.set_defaults(fn=_cmd_info)
 
-    p = sub.add_parser("bisection", help="certified bisection width")
-    p.add_argument("family",
-                   choices=["bn", "wn", "ccc", "torus", "mesh", "fattree",
-                            "fbfly"])
-    p.add_argument("--dims", type=int, default=2, metavar="D",
-                   help="dimensions for the torus/mesh/fbfly families "
-                        "(default 2)")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_bisection)
-
     p = sub.add_parser("expansion", help="certified expansion")
     p.add_argument("family", choices=["bn", "wn"])
     p.add_argument("n", type=int)
@@ -900,7 +882,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_folklore)
 
     p = sub.add_parser(
-        "solve", help="certified BW by the budgeted degradation cascade"
+        "solve", aliases=["bisection"],
+        help="certified BW by the budgeted degradation cascade",
     )
     p.add_argument("family",
                    choices=["bn", "wn", "ccc", "torus", "mesh", "fattree",

@@ -16,17 +16,6 @@ from .claims import (
     resolve_reference,
 )
 from .results import BoundCertificate
-from .bisection import (
-    bisection_width,
-    butterfly_bisection_width,
-    wrapped_bisection_width,
-    ccc_bisection_width,
-    torus_bisection_width,
-    mesh_bisection_width,
-    fat_tree_bisection_width,
-    flattened_butterfly_bisection_width,
-    theorem_220_interval,
-)
 from .expansion_api import edge_expansion, node_expansion
 from .fallback import solve_with_fallback
 from .theorems import Claim, ClaimResult, REGISTRY, check, all_claim_ids
@@ -47,15 +36,6 @@ __all__ = [
     "known_reference_keys",
     "resolve_reference",
     "BoundCertificate",
-    "bisection_width",
-    "butterfly_bisection_width",
-    "wrapped_bisection_width",
-    "ccc_bisection_width",
-    "torus_bisection_width",
-    "mesh_bisection_width",
-    "fat_tree_bisection_width",
-    "flattened_butterfly_bisection_width",
-    "theorem_220_interval",
     "edge_expansion",
     "node_expansion",
     "solve_with_fallback",

@@ -15,6 +15,12 @@ fails along the way:
   bound — and the cascade moves on;
 * a tier that does not apply (too many nodes, no layering) is skipped
   with a recorded reason;
+* a pristine family instance the exact tiers leave open — ``Bn``, ``Wn``,
+  ``CCCn``, square tori and meshes, fat trees, even-radix flattened
+  butterflies — is closed by the *claim tier*: the proven closed form of
+  :mod:`repro.core.claims` (Theorem 2.20's strict floor, Lemmas 3.2 and
+  3.3, the Arjona-Aroca & Fernandez Anta product widths) as the lower
+  bound and the paper's explicit construction as the witness;
 * the final tier is free: ``0 <= BW(G) <= |E|`` holds unconditionally, so
   even a budget that expired before the call yields a sound certificate.
 
@@ -34,9 +40,19 @@ degraded one at a glance.
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 import numpy as np
 
 from ..cuts.branch_and_bound import bb_min_bisection
+from ..cuts.butterfly_bisection import best_plan, build_planned_bisection
+from ..cuts.constructions import (
+    ccc_dimension_cut,
+    column_prefix_cut,
+    fat_tree_root_cut,
+    product_prefix_cut,
+)
 from ..cuts.cut import Cut
 from ..cuts.enumerate_exact import BATCH_CONTRACT_VERSION, cut_profile
 from ..cuts.fiduccia_mattheyses import fm_bisection
@@ -49,6 +65,19 @@ from ..perf.cache import SolverCache
 from ..resilience.budget import Budget
 from ..resilience.checkpoint import CheckpointStore
 from ..topology.base import Network
+from ..topology.butterfly import Butterfly
+from ..topology.ccc import CubeConnectedCycles
+from ..topology.fabric import FatTree
+from ..topology.product import FlattenedButterfly, Mesh, Torus
+from .claims import (
+    arjona_mesh_width,
+    arjona_torus_width,
+    fat_tree_width,
+    flattened_butterfly_width,
+    lemma_32_width,
+    lemma_33_width,
+    theorem_220_strict_floor,
+)
 from .results import BoundCertificate
 
 __all__ = ["solve_with_fallback"]
@@ -63,6 +92,76 @@ def _bisection_count(values: np.ndarray, m: int) -> int:
     """The balanced count whose profile entry is cheaper."""
     lo, hi = m // 2, (m + 1) // 2
     return lo if values[lo] <= values[hi] else hi
+
+
+def _butterfly_witness(bf: Butterfly, budget: Budget) -> tuple[Cut, str]:
+    """Theorem 2.20's sub-``n`` pullback bisection of ``Bn``, else the column cut.
+
+    The pullback beats the folklore column cut (capacity ``n``) from
+    ``B1024`` on; below that, or when the budget stops the plan search
+    before a sub-``n`` plan turns up, the column cut is the witness.
+    """
+    plan = best_plan(bf.n, budget=budget) if bf.lg >= 2 else None
+    if plan is not None and plan.capacity < bf.n:
+        return (
+            build_planned_bisection(plan, bf),
+            "mesh-of-stars pullback cut (Theorem 2.20)",
+        )
+    return column_prefix_cut(bf), "column cut"
+
+
+def _family_claim(
+    net: Network, budget: Budget
+) -> tuple[int, str, Callable[[], tuple[Cut, str]]] | None:
+    """The claim tier's inputs for a pristine family instance, else ``None``.
+
+    Returns ``(lower, evidence, build)``: the proven closed form of
+    :mod:`repro.core.claims` with its claim id, and a thunk building the
+    paper's explicit construction and naming it.  Detection is by type,
+    as in :func:`repro.verify.checker._claims_for_width`, so a generic
+    :class:`Network` — an edge-list spec, a fault-injected graph — is
+    never recognized.
+    """
+    if isinstance(net, Butterfly) and not net.wraparound:
+        return (
+            math.floor(theorem_220_strict_floor(net.n)) + 1,
+            "theorem-2.20 strict floor 2(sqrt2-1)n < BW(Bn)",
+            lambda: _butterfly_witness(net, budget),
+        )
+    if isinstance(net, Butterfly):
+        return (
+            lemma_32_width(net.n), "lemma-3.2 BW(Wn) = n",
+            lambda: (column_prefix_cut(net), "column cut"),
+        )
+    if isinstance(net, CubeConnectedCycles):
+        return (
+            lemma_33_width(net.n), "lemma-3.3 BW(CCCn) = n/2",
+            lambda: (ccc_dimension_cut(net), "dimension cut"),
+        )
+    if isinstance(net, Torus) and net.is_square and net.sides[0] >= 3:
+        return (
+            arjona_torus_width(net.sides[0], net.dims),
+            "product-torus closed form",
+            lambda: (product_prefix_cut(net), "nested prefix cut"),
+        )
+    if isinstance(net, Mesh) and net.is_square:
+        return (
+            arjona_mesh_width(net.sides[0], net.dims),
+            "product-mesh closed form",
+            lambda: (product_prefix_cut(net), "nested prefix cut"),
+        )
+    if isinstance(net, FatTree):
+        return (
+            fat_tree_width(net.depth), "dc-fattree closed form",
+            lambda: (fat_tree_root_cut(net), "root-subtree cut"),
+        )
+    if isinstance(net, FlattenedButterfly) and net.ary % 2 == 0:
+        return (
+            flattened_butterfly_width(net.ary, net.dims),
+            "dc-fbfly closed form",
+            lambda: (product_prefix_cut(net), "prefix cut"),
+        )
+    return None
 
 
 def solve_with_fallback(
@@ -82,10 +181,13 @@ def solve_with_fallback(
     """Certified ``BW(net)`` by the exact-to-heuristic degradation cascade.
 
     Tiers, in order: (1) exhaustive enumeration, (2) layered min-plus DP,
-    (3) branch and bound, (4) KL/FM/spectral heuristics, (5) the trivial
-    interval ``[0, |E|]``.  The first tier that completes exactly wins;
-    partial tiers contribute upper bounds; tier 5 is unconditional, so a
-    valid certificate is returned even under an already-expired budget.
+    (3) branch and bound, the claim tier, (4) KL/FM/spectral heuristics,
+    (5) the trivial interval ``[0, |E|]``.  The first tier that completes
+    exactly wins; partial tiers contribute upper bounds.  The claim tier
+    applies to pristine family instances only and is their last tier; it
+    keeps a tighter upper bound from a truncated tier 1–3.  Tier 5 is
+    unconditional, so a valid certificate is returned even under an
+    already-expired budget.
 
     Under an active :mod:`repro.obs` collector the cascade records one
     span per attempted tier, ``solve.*`` counters for skips/truncations,
@@ -398,6 +500,30 @@ def _run_cascade(
             "tier-3 truncated: budget expired mid-search; incumbent kept as "
             "an upper bound"
         )
+
+    # The claim tier: a pristine family instance takes the proven closed
+    # form as its lower bound and the paper's construction as its witness.
+    # It runs after the exact tiers, so their certificates are untouched,
+    # and it is a family's last tier: on B16-B256 the heuristics were
+    # measured no better than the construction, and slower.
+    claim = _family_claim(net, budget)
+    if claim is None:
+        incr("solve.tiers_skipped")
+        notes.append("tier-claim skipped: not a recognized family instance")
+    elif budget.expired():
+        incr("solve.tiers_skipped")
+        notes.append("tier-claim skipped: budget expired")
+    else:
+        incr("solve.tiers_run")
+        lower, claim_ev, build = claim
+        lower_ev = f"tier-claim {claim_ev}"
+        with trace("solve.tier_claim.construction", network=net.name):
+            cut, how = build()
+        if cut.capacity < upper:
+            upper = cut.capacity
+            upper_ev = f"tier-claim verified {how}"
+            witness = cut
+        return _certificate()
 
     # Tier 4: heuristics (upper bounds only).
     if budget.expired():

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..resilience.budget import Budget
 from ..topology.butterfly import Butterfly, butterfly
 from ..topology.labels import ilog2, is_power_of_two
 from .cut import Cut
@@ -224,12 +225,16 @@ def _candidate_shapes(j: int, kappa: int, comp: int, target: int) -> set[tuple[i
     return shapes
 
 
-def best_plan(n: int, js: list[int] | None = None) -> BisectionPlan:
+def best_plan(
+    n: int, js: list[int] | None = None, budget: Budget | None = None
+) -> BisectionPlan | None:
     """The best balanced pullback plan over quotient sizes and shapes.
 
     ``js`` defaults to all powers of two ``2 <= j`` with ``j^2 <= n``
     (capped at ``j = 4096`` to keep the search finite for astronomical
     ``n``).  The returned plan's capacity is an upper bound on ``BW(Bn)``.
+    An expired ``budget`` stops the search with the best plan found so
+    far, which is ``None`` when it expired before the first one.
     """
     lg = ilog2(n)
     if js is None:
@@ -243,6 +248,8 @@ def best_plan(n: int, js: list[int] | None = None) -> BisectionPlan:
         comp = (n // (j * j)) * (lg - 2 * lgj + 1)
         target = n * (lg + 1) // 2
         for a, b in _candidate_shapes(j, kappa, comp, target):
+            if budget is not None and budget.expired():
+                return best
             plan = plan_bisection(n, j, a, b)
             if plan is not None and (best is None or plan.capacity < best.capacity):
                 best = plan

@@ -1,59 +1,55 @@
-"""Certified bisection-width API."""
-
-import math
+"""Certified bisection widths of the paper's families, through the cascade."""
 
 import pytest
 
-from repro.core import (
-    bisection_width,
-    butterfly_bisection_width,
-    ccc_bisection_width,
-    theorem_220_interval,
-    wrapped_bisection_width,
+from repro.core import solve_with_fallback
+from repro.core.claims import theorem_220_strict_floor
+from repro.topology import (
+    butterfly,
+    complete_graph,
+    cube_connected_cycles,
+    hypercube,
+    wrapped_butterfly,
 )
-from repro.topology import butterfly, complete_graph, hypercube, wrapped_butterfly
 
 
 class TestButterfly:
     @pytest.mark.parametrize("n,expected", [(2, 2), (4, 4), (8, 8)])
     def test_exact_small(self, n, expected):
-        cert = butterfly_bisection_width(n)
+        cert = solve_with_fallback(butterfly(n))
         assert cert.is_exact and cert.value == expected
         assert cert.witness is not None and cert.witness.capacity == expected
 
     def test_interval_medium(self):
-        cert = butterfly_bisection_width(1024)
+        cert = solve_with_fallback(butterfly(1024))
         assert not cert.is_exact
         assert cert.lower >= 512
         assert cert.upper < 1024  # Theorem 2.20: below folklore
         assert cert.witness.capacity == cert.upper
         assert cert.witness.is_bisection()
 
-    def test_mos_lower_bound_used(self):
-        cert = butterfly_bisection_width(4096)
-        floor_c = 2 * (math.sqrt(2) - 1) * 4096
-        assert cert.lower > floor_c  # strictly above the Theorem 2.20 floor
+    def test_lower_bound_above_the_strict_floor(self):
+        cert = solve_with_fallback(butterfly(4096))
+        assert cert.lower > theorem_220_strict_floor(4096)
 
-    def test_plan_only_for_huge(self):
-        cert = butterfly_bisection_width(1 << 14, materialize=False)
-        assert cert.witness is None
-        assert cert.lower <= cert.upper < (1 << 14)
-
-    def test_theorem_interval(self):
-        lo, hi = theorem_220_interval(100)
-        assert lo == pytest.approx(82.84, abs=0.01)
-        assert hi == pytest.approx(100.0)
+    def test_construction_below_n_at_16384(self):
+        n = 1 << 14
+        cert = solve_with_fallback(butterfly(n))
+        assert cert.lower <= cert.upper < n
+        assert cert.witness is not None
+        assert cert.witness.capacity == cert.upper
+        assert cert.witness.is_bisection()
 
 
 class TestWrapped:
     @pytest.mark.parametrize("n", [4, 8])
     def test_exact_small(self, n):
-        cert = wrapped_bisection_width(n)
+        cert = solve_with_fallback(wrapped_butterfly(n))
         assert cert.is_exact and cert.value == n
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_exact_large_via_lemma(self, n):
-        cert = wrapped_bisection_width(n)
+        cert = solve_with_fallback(wrapped_butterfly(n))
         assert cert.is_exact and cert.value == n
         assert cert.witness.capacity == n
 
@@ -61,26 +57,26 @@ class TestWrapped:
 class TestCCC:
     @pytest.mark.parametrize("n", [4, 8])
     def test_exact_small(self, n):
-        cert = ccc_bisection_width(n)
+        cert = solve_with_fallback(cube_connected_cycles(n))
         assert cert.is_exact and cert.value == n // 2
 
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [16, 32, 64])
     def test_exact_large_via_lemma(self, n):
-        cert = ccc_bisection_width(n)
+        cert = solve_with_fallback(cube_connected_cycles(n))
         assert cert.is_exact and cert.value == n // 2
 
 
 class TestGenericAPI:
     def test_layered_network_exact(self, b8):
-        cert = bisection_width(b8)
+        cert = solve_with_fallback(b8)
         assert cert.is_exact and cert.value == 8
 
     def test_small_arbitrary_exact(self):
-        cert = bisection_width(complete_graph(6))
+        cert = solve_with_fallback(complete_graph(6))
         assert cert.is_exact and cert.value == 9
 
     def test_heuristic_interval(self):
         q = hypercube(6)  # 64 nodes: beyond enumeration, not layered
-        cert = bisection_width(q)
+        cert = solve_with_fallback(q)
         assert cert.lower <= 32 <= cert.upper
         assert cert.witness is not None

@@ -7,7 +7,14 @@ from repro.core import solve_with_fallback
 from repro.obs import Collector, collecting
 from repro.perf.cache import SolverCache
 from repro.resilience import Budget, CancellationToken
-from repro.topology import Network, butterfly, random_regular_graph, wrapped_butterfly
+from repro.serve.jobs import solve_job
+from repro.topology import (
+    Network,
+    butterfly,
+    flattened_butterfly,
+    random_regular_graph,
+    wrapped_butterfly,
+)
 from repro.verify import WITNESS_FREE_TOKEN
 
 
@@ -64,10 +71,13 @@ class TestDegradation:
         assert cert.lower == 0 and cert.upper == b4.num_edges
 
     def test_heuristic_tier_tightens_large_instances(self, b16):
-        # B16: 80 nodes and layer width 16 > 12, so every exact tier is out
-        # of reach and the heuristics must carry the upper bound.
-        cert = solve_with_fallback(b16)
+        # B16's edges as a plain Network: 80 nodes, no layering and no
+        # family for the claim tier, so every tier before the heuristics
+        # is out of reach and they must carry the upper bound.
+        net = Network(b16.labels, b16.edges, name="B16-edges")
+        cert = solve_with_fallback(net)
         assert cert.lower <= cert.upper < b16.num_edges
+        assert "tier-claim skipped: not a recognized family" in cert.upper_evidence
         assert "tier-4" in cert.upper_evidence
         assert cert.witness is not None
         assert cert.witness.capacity == cert.upper
@@ -89,6 +99,63 @@ class TestDegradation:
     def test_quantity_names_the_network(self, b4):
         cert = solve_with_fallback(b4, budget=Budget(0))
         assert b4.name in cert.quantity
+
+
+class TestClaimTier:
+    """Pristine family instances past the exact tiers close on the paper's claims."""
+
+    def test_fbfly_2_6_is_exact_at_the_closed_form(self):
+        cert = solve_with_fallback(flattened_butterfly(2, 6))
+        assert cert.lower == cert.upper == 32
+        assert cert.upper_evidence.startswith("tier-claim")
+
+    def test_b16_takes_the_theorem_220_floor(self, b16):
+        cert = solve_with_fallback(b16)
+        assert (cert.lower, cert.upper) == (14, 16)
+        assert cert.lower_evidence.startswith("tier-claim theorem-2.20")
+        assert cert.witness is not None and cert.witness.capacity == 16
+        report = cert.verify(b16)
+        assert report.ok and "witness" in report.checks
+
+    def test_claim_tier_is_a_familys_last_tier(self, b16):
+        with collecting(Collector()) as coll:
+            cert = solve_with_fallback(b16)
+        assert "tier-4" not in cert.upper_evidence
+        assert coll.counters.get("solve.tiers_run", 0) == 1
+        assert coll.notes["winning_tier"] == "tier-claim"
+        assert [s["name"] for s in coll.spans if "tier" in s["name"]] == [
+            "solve.tier_claim.construction"
+        ]
+
+    def test_expired_budget_skips_the_claim_tier(self, b16):
+        cert = solve_with_fallback(b16, budget=Budget(0))
+        assert cert.lower == 0 and cert.upper == b16.num_edges
+        assert "tier-claim skipped: budget expired" in cert.lower_evidence
+        assert "tier-5" in cert.lower_evidence
+
+    def test_budget_stopping_the_plan_search_keeps_the_column_cut(self):
+        t = {"v": 0.0}
+
+        def clock():
+            t["v"] += 1.0
+            return t["v"]
+
+        # The claim tier's own poll passes; the plan search expires after a
+        # couple of shapes, none of them below n, so the witness is the
+        # column cut while the lower bound is still the Theorem 2.20 floor.
+        cert = solve_with_fallback(butterfly(1024), budget=Budget(3.5, clock=clock))
+        assert (cert.lower, cert.upper) == (849, 1024)
+        assert cert.upper_evidence.startswith("tier-claim verified column cut")
+        assert cert.witness.capacity == 1024
+
+    def test_served_bn16_carries_the_floor(self):
+        res = solve_job({
+            "spec": {"family": "bn", "params": {"n": 16}},
+            "budget_seconds": None, "cache": None,
+        })
+        assert res["certificate"]["lower"] == 14
+        assert res["certificate"]["upper"] == 16
+        assert res["tier"] == "tier-claim"
 
 
 class TestWitnessContract:

@@ -3,7 +3,7 @@
 Every expected number here is *derived* from :mod:`repro.core.claims` —
 Theorem 2.20's coefficient and the Lemma 3.2 / 3.3 closed forms — not
 hand-copied into the assertions, so a drift between the claims table and
-the solvers fails loudly on all exactly-solvable sizes.
+the cascade's exact tiers fails loudly on all exactly-solvable sizes.
 """
 
 from __future__ import annotations
@@ -12,17 +12,14 @@ import math
 
 import pytest
 
-from repro.core.bisection import (
-    butterfly_bisection_width,
-    ccc_bisection_width,
-    wrapped_bisection_width,
-)
+from repro.core import solve_with_fallback
 from repro.core.claims import (
     THEOREM_220_COEFFICIENT,
     lemma_32_width,
     lemma_33_width,
     theorem_220_strict_floor,
 )
+from repro.topology import butterfly, cube_connected_cycles, wrapped_butterfly
 
 
 class TestTheorem220:
@@ -32,19 +29,19 @@ class TestTheorem220:
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_exact_bw_beats_the_strict_floor(self, n):
-        cert = butterfly_bisection_width(n)
+        cert = solve_with_fallback(butterfly(n))
         assert cert.is_exact
         assert cert.value > theorem_220_strict_floor(n)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_folklore_ceiling(self, n):
-        assert butterfly_bisection_width(n).value <= n
+        assert solve_with_fallback(butterfly(n)).value <= n
 
 
 class TestLemma32:
     @pytest.mark.parametrize("n", [4, 8])
     def test_wrapped_width_is_n(self, n):
-        cert = wrapped_bisection_width(n)
+        cert = solve_with_fallback(wrapped_butterfly(n))
         assert cert.is_exact
         assert cert.value == lemma_32_width(n) == n
 
@@ -52,7 +49,7 @@ class TestLemma32:
 class TestLemma33:
     @pytest.mark.parametrize("n", [4, 8])
     def test_ccc_width_is_half_n(self, n):
-        cert = ccc_bisection_width(n)
+        cert = solve_with_fallback(cube_connected_cycles(n))
         assert cert.is_exact
         assert cert.value == lemma_33_width(n) == n // 2
 

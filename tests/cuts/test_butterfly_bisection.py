@@ -13,6 +13,7 @@ from repro.cuts import (
     plan_bisection,
 )
 from repro.embeddings import mos_fiber_map
+from repro.resilience import Budget
 from repro.topology import butterfly
 
 
@@ -100,6 +101,21 @@ class TestPlans:
         limit = 2 * (math.sqrt(2) - 1)
         for lg in (10, 16, 60):
             assert best_plan(1 << lg).capacity_over_n > limit
+
+    def test_expired_budget_plans_nothing(self):
+        assert best_plan(1 << 10, budget=Budget(0)) is None
+
+    def test_budget_keeps_the_best_plan_so_far(self):
+        t = {"v": 0.0}
+
+        def clock():
+            t["v"] += 1.0
+            return t["v"]
+
+        # Three shapes get planned before the fourth poll expires.
+        early = best_plan(1 << 10, budget=Budget(3.5, clock=clock))
+        assert early is not None
+        assert early.capacity >= best_plan(1 << 10).capacity
 
 
 class TestBuiltCuts:

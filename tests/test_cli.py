@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -283,6 +284,59 @@ class TestTimeoutValidation:
     def test_zero_budget_still_degrades(self, capsys):
         assert main(["solve", "bn", "2", "--timeout", "0"]) == 0
         assert "BW(B2) in [0, 4]" in capsys.readouterr().out
+
+
+class TestFamilySizeValidation:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "wn", "2"],
+        ["solve", "ccc", "2"],
+        ["solve", "fattree", "0"],
+        ["solve", "mesh", "1"],
+        ["solve", "torus", "2", "--dims", "5"],
+        ["bisection", "ccc", "2"],
+        ["dist", "run", "fattree", "0", "--state", "unused"],
+    ])
+    def test_rejected_with_one_usage_line(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro-butterfly {argv[0]}")
+        assert ": error: " in err
+
+
+class TestBisectionAlias:
+    def test_prints_what_solve_prints(self, capsys):
+        assert main(["solve", "bn", "16", "--no-cache"]) == 0
+        solved = capsys.readouterr().out
+        assert main(["bisection", "bn", "16", "--no-cache"]) == 0
+        assert capsys.readouterr().out == solved
+        assert solved.startswith("BW(B16) in [14, 16]")
+
+
+#: sha256 of the ``solve ... --no-cache --certificate`` bytes of instances
+#: the exact tiers close (tiers 1, 2 and 3).  The claim tier runs after
+#: them, so these certificates must not move by a byte.
+EXACT_CERTIFICATE_SHA256 = {
+    "torus 4": "664c9dab1999e292bd1bc1e7c518a2bd1ef9704ef0de556ddcb6a7ff744f773b",
+    "mesh 4": "71dca4c6ec6b9217ef01d05e80b02207e10bc6cef5abd4ebcdacf605932772ce",
+    "bn 8": "746a6be7b3be2fa31f1a5661fd66530296c7e2740b2d09319552ac07ff85348e",
+    "torus 5": "3f59145661048f663509fe8d01de0d0b9e7e44d10b79c76f9f83937d429afcb5",
+    "fattree 4": "8b26531d27ad6d66cb7f9652b3419c6c453410dcf0418da7c059d3a752722841",
+    "fbfly 4": "ddbb27027fb49a4528321c626eb50f3afa684b63f4c53693ec8664574411a564",
+    "wn 8": "72686664abbbd750573eb21d291df9ba3334dd5a84e2c896c6a337efa6af84a4",
+    "ccc 8": "06664764fd3d45e8568cf247ba2a15567453f956eba5671fdf6dec76512f982e",
+}
+
+
+class TestExactCertificateBytes:
+    @pytest.mark.parametrize("instance", sorted(EXACT_CERTIFICATE_SHA256))
+    def test_bytes_are_pinned(self, tmp_path, instance):
+        path = tmp_path / "cert.json"
+        argv = ["solve", *instance.split(), "--no-cache", "--certificate", str(path)]
+        assert main(argv) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == EXACT_CERTIFICATE_SHA256[instance]
 
 
 class TestMainModule:
