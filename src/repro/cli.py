@@ -11,7 +11,8 @@ Subcommands
     verified balanced bisection of ``Bn`` with capacity below ``n``.
 ``solve {bn,wn,ccc,torus,mesh,fattree,fbfly} N [--dims D] [--timeout S]
 [--checkpoint PATH] [--trace PATH] [--cache DIR | --no-cache]
-[--certificate PATH]``
+[--certificate PATH] [--shards S [--dist-state DIR] [--dist-workers W]
+[--dist-telemetry DIR]]``
     Certified ``BW`` interval by the degradation cascade
     (:func:`repro.core.fallback.solve_with_fallback`): exact solvers under
     a wall-clock budget, then the paper's closed form and construction
@@ -28,29 +29,19 @@ Subcommands
     even when the variable is set.  ``--certificate PATH`` writes the
     resulting certificate (with its network spec and witness) as JSON for
     later independent re-checking with ``verify``.
-``dist run {bn,wn,ccc,torus,mesh,fattree,fbfly,rr} N --state DIR
-[--dims D] [--shards S] [--workers W]
-[--timeout S] [--lease-seconds S] [--chaos-kills K --chaos-seed S]
-[--certificate PATH] [--telemetry DIR]``
-    Fault-tolerant distributed sweep (:mod:`repro.dist`): lease-based
-    work-stealing shards across ``W`` worker processes coordinated
-    through ``--state DIR`` (resumable; re-running continues where the
-    last run stopped).  Exits 0 with an exact certificate when all
-    shards complete, 3 with a certified upper bound when interrupted.
-    ``--chaos-kills`` arms the seeded crash schedule used by the chaos
-    CI job.  ``--telemetry DIR`` traces the fleet: each worker journals
-    a crash-safe span shard, merged after the sweep into
-    ``DIR/timeline.json`` (critical path included).  ``solve --shards
-    N`` runs the same machinery as tier 1 of the cascade.
+    ``--shards S`` runs tier 1 as the fault-tolerant distributed sweep
+    (:mod:`repro.dist`): lease-based work-stealing shards across ``W``
+    worker processes coordinated through ``--dist-state DIR``.  Re-running
+    the same command on ``DIR`` resumes an interrupted sweep; on a
+    settled one it re-certifies without starting a worker.
+    ``--dist-telemetry DIR`` traces the fleet: each worker journals a
+    crash-safe span shard, merged after the sweep into
+    ``DIR/timeline.json`` (critical path included).
 ``dist status --state DIR [--watch [--interval S] [--once]]``
     Shard table, lease holders and event journal of a coordinator
     directory.  ``--watch`` re-renders the view live — lease states,
     per-shard heartbeat progress bars, fleet event counters — reading
     the state file read-only until the sweep settles.
-``dist merge --state DIR [--certificate PATH]``
-    Offline merge of whatever shards completed — of a finished,
-    interrupted, or never-recovered run — into an independently checked
-    certificate (exact iff every shard is done).
 ``verify PATH``
     Re-check a ``solve --certificate`` JSON file (or the result interval
     of a run timeline from ``solve --trace``) with the independent
@@ -65,7 +56,7 @@ Subcommands
     disagreement.
 ``cache {stats,clear} [--dir DIR]``
     Inspect or empty a solver cache directory.
-``serve [--host H] [--port P] [--workers W] [--timeout S]
+``serve [--host H] [--port P] [--timeout S]
 [--max-nodes N] [--cache DIR | --no-cache] [--telemetry DIR]
 [--port-file PATH]``
     Serve certified solves over HTTP (:mod:`repro.serve`): ``POST
@@ -73,14 +64,15 @@ Subcommands
     /v1/jobs/<id>`` polls it, ``GET /v1/results/<id>`` returns the
     ``repro-certificate/1`` JSON (``verify`` accepts it unchanged), and
     ``GET /metrics`` exposes live OpenMetrics.  In-flight requests
-    dedupe by canonical fingerprint; ``--cache`` shares tier-0 results
-    across requests and processes; ``--telemetry DIR`` journals the
-    fleet timeline, merged to ``DIR/timeline.json`` on shutdown
+    dedupe by canonical fingerprint and solve one at a time in the
+    drain thread; ``--cache`` shares tier-0 results across requests and
+    processes; ``--telemetry DIR`` journals the server's spans (flushed
+    after every job), merged to ``DIR/timeline.json`` on shutdown
     (SIGTERM/Ctrl-C).  See ``docs/serving.md``.
 ``stats PATH [--json] [--openmetrics PATH] [--flame PATH]``
     Validate and pretty-print (or re-emit as JSON) a run timeline: the
     one-shard timeline ``solve --trace`` / ``fuzz --trace`` write or a
-    merged fleet timeline from ``dist run --telemetry``.
+    merged fleet timeline from ``solve --shards --dist-telemetry``.
     ``--openmetrics`` exports counters/gauges as a Prometheus text
     exposition; ``--flame`` exports the span tree as
     folded flame-graph stacks.
@@ -125,7 +117,7 @@ _DIMS_FAMILIES = ("torus", "mesh", "fbfly")
 
 
 def _family_network(family: str, n: int, dims: int = 2):
-    """Build a pristine family instance for solve/verify/dist commands.
+    """Build a pristine family instance for the solve and verify commands.
 
     The paper indexes butterflies by their input count ``n`` (a power of
     two); as a convenience a non-power-of-two ``n`` is read as the
@@ -361,131 +353,6 @@ def _network_from_command(command) -> "object | None":
         return None
 
 
-def _dist_network(args: argparse.Namespace):
-    """Build the instance for a ``dist`` subcommand (families + rr)."""
-    from .topology.random_regular import random_regular_graph
-
-    if args.family == "rr":
-        return random_regular_graph(
-            args.n, getattr(args, "degree", 3), seed=getattr(args, "seed", 0)
-        )
-    return _family_network(args.family, args.n, getattr(args, "dims", 2) or 2)
-
-
-def _dist_certificate(net, prof, detail: str):
-    """A :class:`BoundCertificate` from a (possibly partial) profile.
-
-    A complete profile closes the interval exactly; a partial one keeps
-    the trivial floor and certifies the merged balanced entry — when one
-    was observed at all — as an upper bound with its witness cut.
-    """
-    from .core.results import BoundCertificate
-    from .verify.checker import WITNESS_FREE_TOKEN
-
-    import numpy as np
-
-    m = len(prof.counted)
-    lo_c, hi_c = m // 2, (m + 1) // 2
-    c = lo_c if prof.values[lo_c] <= prof.values[hi_c] else hi_c
-    w = int(prof.values[c])
-    name = f"BW({net.name})"
-    if prof.complete:
-        ev = f"distributed enumeration (exact; {detail})"
-        return BoundCertificate(name, w, w, ev, ev, prof.witness_cut(c))
-    if w < np.iinfo(np.int64).max:
-        return BoundCertificate(
-            name, 0, w,
-            "trivial floor (0 <= BW always)",
-            f"distributed enumeration (partial shard union; {detail})",
-            prof.witness_cut(c),
-        )
-    return BoundCertificate(
-        name, 0, net.num_edges,
-        "trivial floor (0 <= BW always)",
-        f"trivial ceiling (cutting every edge; no balanced shard "
-        f"completed; {WITNESS_FREE_TOKEN}; {detail})",
-        None,
-    )
-
-
-def _cmd_dist_run(args: argparse.Namespace) -> int:
-    from .dist import distributed_cut_profile
-    from .resilience import Budget, CrashSchedule
-
-    try:
-        net = _dist_network(args)
-    except ValueError as exc:
-        return _usage_error("dist run", exc)
-    budget = Budget(args.timeout) if args.timeout is not None else None
-    schedule = None
-    if args.chaos_kills:
-        import os
-
-        schedule = CrashSchedule.seeded(
-            os.path.join(args.state, "chaos"), args.chaos_seed,
-            workers=args.workers, kills=args.chaos_kills,
-        )
-        print(f"chaos schedule armed: kills={schedule.events()}",
-              file=sys.stderr)
-    status: dict = {}
-    prof = distributed_cut_profile(
-        net,
-        state_dir=args.state,
-        shards=args.shards,
-        workers=args.workers,
-        budget=budget,
-        schedule=schedule,
-        lease_seconds=args.lease_seconds,
-        meta={"family": args.family, "n": args.n,
-              "dims": getattr(args, "dims", None),
-              "degree": getattr(args, "degree", None),
-              "seed": getattr(args, "seed", None)},
-        status=status,
-        telemetry=args.telemetry,
-    )
-    tele = status.get("telemetry")
-    if tele is not None:
-        cp = {}
-        try:
-            from .obs import load_timeline
-
-            cp = load_timeline(tele["timeline"]).get("critical_path", {})
-        except (ValueError, KeyError, OSError):
-            pass
-        print(f"telemetry: {len(tele.get('shard_files', []))} shard files, "
-              f"timeline {tele['timeline']}", file=sys.stderr)
-        if cp.get("names"):
-            chain = " > ".join(
-                f"{n}[{w}]" for n, w in zip(cp["names"], cp["workers"])
-            )
-            print(f"critical path: {chain} "
-                  f"({float(cp.get('duration', 0.0)) * 1e3:.1f} ms"
-                  f"{', truncated' if cp.get('truncated') else ''})",
-                  file=sys.stderr)
-    ev = status.get("events", {})
-    print(f"{net.name}: {status.get('counts', {}).get('done', 0)}/"
-          f"{status.get('shards', 0)} shards done "
-          f"({ev.get('claims', 0)} claims, {ev.get('reclaims', 0)} reclaims, "
-          f"{ev.get('quarantined', 0)} quarantined, "
-          f"{status.get('workers_killed', 0)} workers lost, "
-          f"{status.get('parent_takeovers', 0)} parent takeovers)")
-    detail = (
-        f"{status.get('shards', 0)} shards, {args.workers} workers, "
-        f"{ev.get('reclaims', 0)} reclaims"
-    )
-    cert = _dist_certificate(net, prof, detail)
-    report = cert.verify(net)
-    if not report.ok:
-        print("dist: certificate REJECTED by the independent checker:",
-              file=sys.stderr)
-        for p in report.problems:
-            print(f"dist:   {p}", file=sys.stderr)
-        return 1
-    print(cert)
-    _maybe_write_certificate(args, net, cert)
-    return 0 if prof.complete else 3
-
-
 def _progress_bar(fraction: float | None, width: int = 12) -> str:
     """A ``[####----] 50%`` cell from a heartbeat progress fraction."""
     if fraction is None:
@@ -547,53 +414,6 @@ def _cmd_dist_status(args: argparse.Namespace) -> int:
             time.sleep(interval)
         except KeyboardInterrupt:  # pragma: no cover - interactive only
             return 0
-
-
-def _cmd_dist_merge(args: argparse.Namespace) -> int:
-    from .dist import ShardCoordinator, merge_to_profile
-
-    import numpy as np
-
-    state = ShardCoordinator.peek(args.state)
-    if state is None:
-        print(f"dist: no coordinator state in {args.state}", file=sys.stderr)
-        return 2
-    meta = state.get("meta", {})
-    try:
-        ns = argparse.Namespace(**{
-            "family": meta.get("family"), "n": int(meta.get("n")),
-            "dims": meta.get("dims"),
-            "degree": meta.get("degree"), "seed": meta.get("seed"),
-        })
-        net = _dist_network(ns)
-    except (TypeError, ValueError, KeyError):
-        print("dist: state meta does not identify a rebuildable instance",
-              file=sys.stderr)
-        return 2
-    payloads = [
-        (int(sh["lo"]), int(sh["hi"]), sh["payload"])
-        for sh in state["shard_rows"]
-        if sh["status"] == "done" and isinstance(sh["payload"], dict)
-    ]
-    counted = np.arange(net.num_nodes, dtype=np.int64)
-    prof = merge_to_profile(net, counted, payloads)
-    kind = "exact (all shards done)" if prof.complete else (
-        f"upper bound from {len(payloads)}/{state['shards']} completed shards"
-    )
-    print(f"{net.name}: merged {kind}")
-    cert = _dist_certificate(
-        net, prof, f"{len(payloads)}/{state['shards']} shards merged offline"
-    )
-    report = cert.verify(net)
-    if not report.ok:
-        print("dist: certificate REJECTED by the independent checker:",
-              file=sys.stderr)
-        for p in report.problems:
-            print(f"dist:   {p}", file=sys.stderr)
-        return 1
-    print(cert)
-    _maybe_write_certificate(args, net, cert)
-    return 0 if prof.complete else 3
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -783,7 +603,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import JobQueue, ServeServer
 
     cache = None if args.no_cache else (args.cache or os.environ.get("REPRO_CACHE_DIR"))
-    queue = JobQueue(cache_dir=cache, workers=args.workers)
+    queue = JobQueue(cache_dir=cache)
     server = ServeServer(
         queue,
         host=args.host,
@@ -792,17 +612,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_timeout=args.timeout,
         telemetry=args.telemetry,
     )
-    server.start()
-    if args.port_file:
-        Path(args.port_file).write_text(f"{server.port}\n", encoding="utf-8")
-    print(
-        f"serving on {server.address} "
-        f"(cache: {cache or 'disabled'}, workers: {args.workers})",
-        flush=True,
-    )
+    # Handlers first: a SIGTERM that lands while the server starts, or
+    # right after the port file appears, must stop it cleanly, not kill it.
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     signal.signal(signal.SIGINT, lambda *_: stop.set())
+    server.start()
+    if args.port_file:
+        Path(args.port_file).write_text(f"{server.port}\n", encoding="utf-8")
+    print(f"serving on {server.address} (cache: {cache or 'disabled'})",
+          flush=True)
     try:
         stop.wait()
     finally:
@@ -840,7 +659,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _budget_seconds(value: str) -> float:
-    """argparse type for ``solve``/``dist run --timeout``: seconds >= 0."""
+    """argparse type for ``solve --timeout``: seconds >= 0."""
     seconds = float(value)
     if not seconds >= 0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"must be >= 0 seconds, got {value}")
@@ -911,7 +730,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="run tier 1 as the lease-coordinated distributed "
                         "sweep with N shards (bit-identical to serial)")
     p.add_argument("--dist-state", default=None, metavar="DIR",
-                   help="durable coordinator directory for --shards "
+                   help="durable coordinator directory for --shards; the "
+                        "same solve on it again resumes or re-certifies "
                         "(default: fresh temporary, non-resumable)")
     p.add_argument("--dist-workers", type=int, default=None, metavar="N",
                    help="worker processes for --shards (default 2)")
@@ -922,46 +742,9 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser(
-        "dist",
-        help="fault-tolerant distributed sweep: run, inspect, merge",
+        "dist", help="inspect a distributed sweep's coordinator state",
     )
     dist_sub = p.add_subparsers(dest="dist_command", required=True)
-
-    d = dist_sub.add_parser(
-        "run", help="run the lease-coordinated distributed sweep"
-    )
-    d.add_argument("family",
-                   choices=["bn", "wn", "ccc", "torus", "mesh", "fattree",
-                            "fbfly", "rr"])
-    d.add_argument("n", type=int)
-    d.add_argument("--dims", type=int, default=2, metavar="D",
-                   help="dimensions for the torus/mesh/fbfly families "
-                        "(default 2)")
-    d.add_argument("--degree", type=int, default=3,
-                   help="degree for the rr (random regular) family")
-    d.add_argument("--seed", type=int, default=0,
-                   help="seed for the rr family")
-    d.add_argument("--state", required=True, metavar="DIR",
-                   help="coordinator state directory (resumable)")
-    d.add_argument("--shards", type=int, default=8)
-    d.add_argument("--workers", type=int, default=2)
-    d.add_argument("--timeout", type=_budget_seconds, default=None,
-                   metavar="SECONDS")
-    d.add_argument("--lease-seconds", type=float, default=15.0,
-                   help="lease length between heartbeats before a shard "
-                        "may be stolen")
-    d.add_argument("--chaos-kills", type=int, default=0, metavar="K",
-                   help="chaos harness: SIGKILL K distinct workers on "
-                        "their first claim (seeded, replayable)")
-    d.add_argument("--chaos-seed", type=int, default=0,
-                   help="seed selecting which workers die")
-    d.add_argument("--certificate", default=None, metavar="PATH",
-                   help="write the certified result as JSON for 'verify'")
-    d.add_argument("--telemetry", default=None, metavar="DIR",
-                   help="fleet-telemetry directory: per-worker span shards "
-                        "plus a merged timeline.json with the critical path")
-    d.set_defaults(fn=_cmd_dist_run)
-
     d = dist_sub.add_parser(
         "status", help="inspect a coordinator state directory"
     )
@@ -975,16 +758,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="with --watch: render a single frame and exit "
                         "(CI smoke)")
     d.set_defaults(fn=_cmd_dist_status)
-
-    d = dist_sub.add_parser(
-        "merge",
-        help="merge completed shards offline into a certified bound "
-             "(exact when all shards are done, an upper bound otherwise)",
-    )
-    d.add_argument("--state", required=True, metavar="DIR")
-    d.add_argument("--certificate", default=None, metavar="PATH",
-                   help="write the certified result as JSON for 'verify'")
-    d.set_defaults(fn=_cmd_dist_merge)
 
     p = sub.add_parser(
         "verify",
@@ -1017,8 +790,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8123,
                    help="listen port (0 picks a free one; see --port-file)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="supervised pool size (1 solves in the drain thread)")
     p.add_argument("--timeout", type=_request_seconds, default=None, metavar="S",
                    help="default per-request budget in seconds "
                         "(requests may set their own)")
@@ -1038,7 +809,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "stats",
         help="inspect a run timeline (solve --trace, fuzz --trace, "
-             "dist run --telemetry)",
+             "solve --dist-telemetry)",
     )
     p.add_argument("path")
     p.add_argument("--json", action="store_true",

@@ -14,10 +14,10 @@ a certified upper bound, and the full union is the exact answer** —
 regardless of crashes, SIGKILLs, stalls or restarts in between.  See
 ``docs/distributed.md`` for the lease protocol and failure matrix.
 
-This package must stay importable without :mod:`repro.verify` (lint rule
-RL009): certification of distributed results happens in the callers —
-:func:`repro.core.fallback.solve_with_fallback` and the CLI — which
-attach shard history as certificate provenance.
+This package must stay importable without :mod:`repro.verify` (the
+layer DAG of lint rule RL002): certification of distributed results
+happens in its one caller, :func:`repro.core.fallback.solve_with_fallback`,
+which attaches shard history as certificate provenance.
 """
 
 from .coordinator import Lease, ShardCoordinator

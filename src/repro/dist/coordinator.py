@@ -194,11 +194,7 @@ class ShardCoordinator:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def ensure(
-        self,
-        ranges: list[tuple[int, int]],
-        meta: dict[str, Any] | None = None,
-    ) -> dict[str, Any]:
+    def ensure(self, ranges: list[tuple[int, int]]) -> dict[str, Any]:
         """Create the shard table, or adopt an existing same-key one.
 
         A state file keyed to a *different* computation (or torn, or from
@@ -212,7 +208,6 @@ class ShardCoordinator:
                 state = {
                     "version": SHARD_STATE_VERSION,
                     "key": self.key,
-                    "meta": meta or {},
                     "shards": [
                         {
                             "id": i,
@@ -403,7 +398,6 @@ class ShardCoordinator:
                 ledger.add(sh["lo"], sh["hi"])
         return {
             "key": state["key"],
-            "meta": state.get("meta", {}),
             "shards": len(state["shards"]),
             "counts": counts,
             "events": dict(state.get("events", {})),

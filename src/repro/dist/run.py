@@ -121,11 +121,11 @@ def merge_to_profile(
 
     This is the **merge-is-an-upper-bound** contract as a function: any
     set of completed shards — a finished sweep, a budget-killed one, or
-    the leftovers in a coordinator directory whose run never came back
-    (``repro-butterfly dist merge``) — folds into a profile whose finite
-    entries are certified upper bounds, with ``complete=True`` exactly
-    when the union covers the whole mask space (and then the profile is
-    bit-identical to the serial sweep's).
+    the leftovers in a coordinator directory whose run never came back —
+    folds into a profile whose finite entries are certified upper
+    bounds, with ``complete=True`` exactly when the union covers the
+    whole mask space (and then the profile is bit-identical to the
+    serial sweep's).
     """
     counted = np.asarray(counted, dtype=np.int64)
     n = net.num_nodes
@@ -150,7 +150,6 @@ def distributed_cut_profile(
     lease_seconds: float = 15.0,
     max_attempts: int = 3,
     batch_bits: int | None = None,
-    meta: dict | None = None,
     status: dict | None = None,
     telemetry: str | None = None,
 ) -> CutProfile:
@@ -203,7 +202,7 @@ def distributed_cut_profile(
         state_dir, key,
         lease_seconds=lease_seconds, max_attempts=max_attempts,
     )
-    coord.ensure(ranges, meta)
+    coord.ensure(ranges)
     gauge("dist.shards_total", len(ranges))
 
     edges = net.edges

@@ -1,8 +1,8 @@
 """The shard worker loop: claim, heartbeat, compute, complete.
 
 A worker is one process in the fleet spawned by
-:func:`repro.dist.run.distributed_cut_profile` (or launched by hand via
-``repro-butterfly dist run``).  Its loop is deliberately tiny:
+:func:`repro.dist.run.distributed_cut_profile`.  Its loop is deliberately
+tiny:
 
 1. poll the budget — an expired budget abandons the held lease (no
    attempt penalty) and exits;

@@ -27,20 +27,15 @@ RL007     obs-timing (warning): no raw monotonic clocks in instrumented
           packages; measure through :func:`repro.obs.trace`.
 RL008     complexity-budget: exhaustive kernels must keep the batched
           O(E)-per-batch contract (suppression requires justification).
-RL009     verify-independence (warning): solver packages never import
-          the independent certificate checker.
 RL010     budget-threading: loops reachable from the solve cascade into
           ``cuts``/``routing`` must reach a ``Budget`` poll, directly or
           via a callee (suppression requires justification).
 RL011     determinism-sanitizer: unseeded RNGs, wall-clock reads and
           set-iteration order must not flow into certificates, cache
           writes or canonical fingerprints (interprocedural taint).
-RL012     shared-capture (warning): tasks submitted to
-          ``supervised_map`` must not close over state the parent
-          mutates — workers only ever see a pickled copy.
 ========  =============================================================
 
-RL010–RL012 are whole-program rules: they run on a project-wide call
+RL010–RL011 are whole-program rules: they run on a project-wide call
 graph and dataflow fixpoint built by :mod:`repro.lint.analysis`, with
 per-module summaries cached on disk keyed by file digest
 (``--analysis-cache`` / ``$REPRO_LINT_CACHE_DIR``).  ``repro-lint graph

@@ -1,15 +1,14 @@
 """Whole-program analysis substrate for the interprocedural lint rules.
 
-The per-module rules (RL001-RL009) see one AST at a time; the properties
-RL010-RL012 enforce live *between* modules: whether a hot loop reachable
-from the solve cascade ever consults its Budget, whether an unseeded RNG
-value can flow into a certificate or cache key, whether a closure shipped
-to the worker pool captures shared mutable state.  This package supplies
-the three layers those rules stand on:
+The per-module rules (RL001-RL008) see one AST at a time; the properties
+RL010-RL011 enforce live *between* modules: whether a hot loop reachable
+from the solve cascade ever consults its Budget, and whether an unseeded
+RNG value can flow into a certificate or cache key.  This package
+supplies the three layers those rules stand on:
 
 * :mod:`~repro.lint.analysis.summaries` — a per-module extraction pass:
   resolved import aliases, top-level defs, call sites with locally
-  propagated taint atoms, loops, budget polls, pool submissions.  The
+  propagated taint atoms, loops, budget polls.  The
   output is plain JSON-able data, which is what makes the on-disk cache
   sound: a summary depends only on one file's source and the analysis
   config.

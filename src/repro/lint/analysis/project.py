@@ -1,7 +1,7 @@
 """Whole-program phase: link module summaries, run fixpoints, answer rules.
 
 :class:`ProjectAnalysis` is built once per lint run (when any of
-RL010-RL012 is enabled) from the per-module summaries and attached to the
+RL010-RL011 is enabled) from the per-module summaries and attached to the
 ``LintContext``.  It owns:
 
 * a project symbol table — dotted name → function/class, following
@@ -378,24 +378,6 @@ class ProjectAnalysis:
             }
             for p, ln, col, origin, src_at, slabel, sink_at in sorted(found)
         ]
-
-    def capture_violations(self) -> list[dict]:
-        """RL012: pool-submitted callables closing over mutated state."""
-        out = []
-        for fid in sorted(self.functions):
-            fn = self.functions[fid]
-            path = self.fn_module[fid].path
-            for sub in fn.submissions:
-                if not sub.captured:
-                    continue
-                out.append(
-                    {
-                        "path": path, "lineno": sub.lineno, "col": sub.col,
-                        "function": fid, "task": sub.task,
-                        "captured": list(sub.captured), "pool": sub.pool,
-                    }
-                )
-        return out
 
     # ------------------------------------------------------ graph JSON
 

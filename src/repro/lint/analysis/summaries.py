@@ -36,7 +36,6 @@ __all__ = [
     "SUMMARY_FORMAT",
     "CallSite",
     "LoopSummary",
-    "SubmissionSummary",
     "FunctionSummary",
     "ModuleSummary",
     "resolve_import_aliases",
@@ -45,15 +44,7 @@ __all__ = [
 ]
 
 #: Bump when the summary shape changes; part of every cache key.
-SUMMARY_FORMAT = "repro-lint-summary/1"
-
-#: Method names whose call on a captured name counts as mutating it.
-_MUTATING_METHODS = frozenset(
-    {
-        "append", "extend", "insert", "add", "update", "remove", "discard",
-        "pop", "popitem", "clear", "setdefault", "sort", "reverse", "fill",
-    }
-)
+SUMMARY_FORMAT = "repro-lint-summary/2"
 
 _SET_BUILTINS = frozenset({"set", "frozenset"})
 
@@ -152,27 +143,6 @@ class LoopSummary:
 
 
 @dataclass
-class SubmissionSummary:
-    """A callable handed to a pool-submit function (RL012)."""
-
-    lineno: int
-    col: int
-    pool: str                   # dotted pool function
-    task: str | None            # the callable as written (name or <lambda>)
-    captured: list[str] = field(default_factory=list)  # mutated captures
-
-    def to_dict(self) -> dict:
-        return {
-            "lineno": self.lineno, "col": self.col, "pool": self.pool,
-            "task": self.task, "captured": self.captured,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SubmissionSummary":
-        return cls(**d)
-
-
-@dataclass
 class FunctionSummary:
     """Everything the project phase needs to know about one function.
 
@@ -191,7 +161,6 @@ class FunctionSummary:
     calls: list[CallSite] = field(default_factory=list)
     loops: list[LoopSummary] = field(default_factory=list)
     returns: list = field(default_factory=list)   # atoms
-    submissions: list[SubmissionSummary] = field(default_factory=list)
     #: repro.* names *referenced* but not called here — functions passed as
     #: values (heuristic tuples, dispatch dicts).  Reachability-only edges:
     #: a reference may be called by whoever receives it, so it keeps the
@@ -205,7 +174,6 @@ class FunctionSummary:
             "calls": [c.to_dict() for c in self.calls],
             "loops": [l.to_dict() for l in self.loops],
             "returns": self.returns,
-            "submissions": [s.to_dict() for s in self.submissions],
             "refs": self.refs,
         }
 
@@ -217,7 +185,6 @@ class FunctionSummary:
             calls=[CallSite.from_dict(c) for c in d["calls"]],
             loops=[LoopSummary.from_dict(l) for l in d["loops"]],
             returns=_atoms_in(d["returns"]),
-            submissions=[SubmissionSummary.from_dict(s) for s in d["submissions"]],
             refs=d["refs"],
         )
 
@@ -376,7 +343,6 @@ class _FunctionAnalyzer:
         self.defs = defs
         self.source_modes = dict(config.taint_sources)
         self.poll_methods = frozenset(config.budget_poll_methods)
-        self.pool_fns = frozenset(config.pool_submit_functions)
         self.env: dict[str, set] = {p: {("param", i)} for i, p in enumerate(params)}
         # Stable call-site numbering: statement order, BFS within each.
         self.call_nodes: list[ast.Call] = []
@@ -413,13 +379,11 @@ class _FunctionAnalyzer:
 
         polls = any(self._is_poll(c) for c in self.call_nodes)
         loops = self._loops(stmts)
-        subs = self._submissions()
         calls = [self.sites[i] for i in sorted(self.sites)]
         return FunctionSummary(
             name=self.name, lineno=self.lineno, params=self.params,
             polls=polls, calls=calls, loops=loops,
-            returns=_atoms_out(returns), submissions=subs,
-            refs=self._refs(stmts),
+            returns=_atoms_out(returns), refs=self._refs(stmts),
         )
 
     def _refs(self, stmts) -> list[str]:
@@ -618,119 +582,6 @@ class _FunctionAnalyzer:
                 )
             )
         return loops
-
-    # ----------------------------------------------------- submissions
-
-    def _submissions(self) -> list[SubmissionSummary]:
-        out = []
-        local_defs = self._local_callables()
-        for node in self.call_nodes:
-            dotted = self._dotted(node.func)
-            if dotted not in self.pool_fns:
-                continue
-            task = node.args[0] if node.args else None
-            if task is None:
-                for k in node.keywords:
-                    if k.arg == "task_fn":
-                        task = k.value
-                        break
-            if task is None:
-                continue
-            task_name, captured = self._captures(task, local_defs)
-            out.append(
-                SubmissionSummary(
-                    lineno=node.lineno, col=node.col_offset, pool=dotted,
-                    task=task_name, captured=captured,
-                )
-            )
-        return out
-
-    def _local_callables(self) -> dict[str, ast.AST]:
-        """Nested defs and lambda-bindings within this function unit."""
-        found: dict[str, ast.AST] = {}
-        for stmt in _iter_stmts(self.body):
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found[stmt.name] = stmt
-            elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Lambda):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        found[target.id] = stmt.value
-        return found
-
-    def _captures(self, task: ast.expr, local_defs) -> tuple[str | None, list[str]]:
-        """Name of the submitted callable + its mutated free captures."""
-        if isinstance(task, ast.Lambda):
-            fn_node: ast.AST | None = task
-            task_name = "<lambda>"
-        elif isinstance(task, ast.Name):
-            task_name = task.id
-            fn_node = local_defs.get(task.id)  # None → module-level, no closure
-        else:
-            return None, []
-        if fn_node is None:
-            return task_name, []
-
-        bound = set(_callable_params(fn_node))
-        body = (
-            fn_node.body if isinstance(fn_node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            else [ast.Expr(value=fn_node.body)]
-        )
-        for stmt in body if isinstance(body, list) else []:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                    bound.add(node.id)
-        free: set[str] = set()
-        enclosing = set(self.env) | set(self.params)
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if (
-                    isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
-                    and node.id not in bound
-                    and node.id in enclosing
-                ):
-                    free.add(node.id)
-        mutated = self._mutated_names(exclude=fn_node)
-        return task_name, sorted(free & mutated)
-
-    def _mutated_names(self, exclude: ast.AST) -> set[str]:
-        """Names mutated anywhere in this unit outside ``exclude``."""
-        inside_excluded = {id(n) for n in ast.walk(exclude)}
-        mutated: set[str] = set()
-        for stmt in _iter_stmts(self.body):
-            if id(stmt) in inside_excluded:
-                continue
-            for node in ast.walk(stmt):
-                if id(node) in inside_excluded:
-                    continue
-                if isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        node.targets if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for t in targets:
-                        if isinstance(t, (ast.Subscript, ast.Attribute)):
-                            base = t.value
-                            while isinstance(base, (ast.Subscript, ast.Attribute)):
-                                base = base.value
-                            if isinstance(base, ast.Name):
-                                mutated.add(base.id)
-                        elif isinstance(node, ast.AugAssign) and isinstance(t, ast.Name):
-                            mutated.add(t.id)
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _MUTATING_METHODS
-                    and isinstance(node.func.value, ast.Name)
-                ):
-                    mutated.add(node.func.value.id)
-        return mutated
-
-
-def _callable_params(fn_node: ast.AST) -> list[str]:
-    if isinstance(fn_node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        return _param_names(fn_node)  # Lambda shares the arguments layout
-    return []
 
 
 def _is_set_expr(node: ast.expr) -> bool:

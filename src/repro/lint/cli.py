@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Static analysis for the butterfly-reproduction invariants: "
             "claim citations, layer order, hot-path vectorization, float "
             "comparison, frozen state, and the whole-program budget/"
-            "determinism/race rules (RL010-RL012)."
+            "determinism rules (RL010-RL011)."
         ),
     )
     parser.add_argument(

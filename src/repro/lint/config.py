@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_BUDGET_POLL_METHODS",
     "DEFAULT_TAINT_SOURCES",
     "DEFAULT_TAINT_SINKS",
-    "DEFAULT_POOL_SUBMIT_FUNCTIONS",
 ]
 
 
@@ -39,11 +38,12 @@ DEFAULT_LAYER_DAG: dict[str, frozenset[str]] = {
     # checker may see topology and obs (plus the pure claim table, via a
     # module-granular exception below); the fuzz harness drives the whole
     # solver stack through further module-granular exceptions.  No solver
-    # package may depend on verify (see also RL009).
+    # package may depend on verify: the checker's independence from the
+    # solvers it checks is one-directional.
     "verify": frozenset({"topology", "obs"}),
     # Distributed coordination: shard workers drive the cuts kernels under
-    # resilience primitives.  Deliberately verify-free (RL009): callers
-    # certify distributed results, dist only produces them.
+    # resilience primitives.  Deliberately verify-free: the cascade
+    # certifies distributed results, dist only produces them.
     "dist": frozenset({"topology", "cuts", "resilience", "obs"}),
     "embeddings": frozenset({"topology"}),
     "routing": frozenset({"topology", "obs"}),
@@ -58,7 +58,7 @@ DEFAULT_LAYER_DAG: dict[str, frozenset[str]] = {
     # The serving layer fronts the cascade: it may see the solve entry
     # point (core), the canonical fingerprints and cache (perf), the
     # supervised pool and budgets (resilience), certificate round-trips
-    # (verify — serve is not a solver package, RL009 does not scope it)
+    # (verify — serve is not a solver package)
     # and obs.  It must never reach into cuts/routing directly: all
     # solving goes through core's degradation cascade.
     "serve": frozenset({"topology", "core", "perf", "resilience", "verify", "obs"}),
@@ -89,7 +89,7 @@ DEFAULT_LAYER_EXCEPTIONS: frozenset[tuple[str, str]] = frozenset(
         # The fuzz harness *drives* every solver, the cascade, the cache
         # and the fault injector against the checker.  These edges point
         # from the verifier down into what it tests; the reverse direction
-        # is what RL009 forbids.
+        # is what the DAG forbids.
         ("repro.verify.fuzz", "repro.cuts"),
         ("repro.verify.fuzz", "repro.core.fallback"),
         # ... and cross-checks the product/fabric closed forms against
@@ -113,7 +113,7 @@ DEFAULT_HOT_PATHS: tuple[str, ...] = ("topology/base.py", "cuts/*.py")
 DEFAULT_CLAIM_PACKAGES: tuple[str, ...] = ("cuts", "embeddings", "expansion", "core")
 
 # --------------------------------------------------------------------- #
-# Whole-program analysis (RL010-RL012; see repro.lint.analysis)
+# Whole-program analysis (RL010-RL011; see repro.lint.analysis)
 # --------------------------------------------------------------------- #
 
 #: Call-graph roots for RL010 reachability: the cascade and the CLI solve
@@ -192,13 +192,6 @@ DEFAULT_TAINT_SINKS: tuple[str, ...] = (
     ".put_warm_start",
 )
 
-#: RL012: functions whose first argument (or ``task_fn=``) is shipped to
-#: worker processes and therefore must not close over shared mutables.
-DEFAULT_POOL_SUBMIT_FUNCTIONS: tuple[str, ...] = (
-    "repro.resilience.supervise.supervised_map",
-)
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """Immutable configuration for one lint run."""
@@ -213,13 +206,12 @@ class LintConfig:
     claim_packages: tuple[str, ...] = DEFAULT_CLAIM_PACKAGES
     #: rules whose inline suppression must carry a ``-- justification``
     justification_required: frozenset[str] = frozenset({"RL003", "RL008", "RL010"})
-    # Whole-program analysis knobs (RL010-RL012).
+    # Whole-program analysis knobs (RL010-RL011).
     budget_entry_points: tuple[str, ...] = DEFAULT_BUDGET_ENTRY_POINTS
     budget_hot_packages: tuple[str, ...] = DEFAULT_BUDGET_HOT_PACKAGES
     budget_poll_methods: tuple[str, ...] = DEFAULT_BUDGET_POLL_METHODS
     taint_sources: tuple[tuple[str, str], ...] = DEFAULT_TAINT_SOURCES
     taint_sinks: tuple[str, ...] = DEFAULT_TAINT_SINKS
-    pool_submit_functions: tuple[str, ...] = DEFAULT_POOL_SUBMIT_FUNCTIONS
 
     def analysis_digest(self) -> str:
         """A short digest of the analysis-relevant knobs.
@@ -233,7 +225,6 @@ class LintConfig:
         blob = repr((
             self.budget_entry_points, self.budget_hot_packages,
             self.budget_poll_methods, self.taint_sources, self.taint_sinks,
-            self.pool_submit_functions,
         ))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

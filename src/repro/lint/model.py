@@ -88,7 +88,7 @@ class LintContext:
     config: LintConfig
     modules: list[ModuleInfo] = field(default_factory=list)
     #: Whole-program analysis (call graph, taint), attached by the runner
-    #: when an interprocedural rule (RL010-RL012) is enabled; None in
+    #: when an interprocedural rule (RL010-RL011) is enabled; None in
     #: plain per-module runs.  See :mod:`repro.lint.analysis`.
     analysis: object | None = None
 

@@ -12,10 +12,8 @@ from . import frozen_mutation  # noqa: F401
 from . import benchmark_drift  # noqa: F401
 from . import obs_timing  # noqa: F401
 from . import complexity_budget  # noqa: F401
-from . import verify_independence  # noqa: F401
 from . import budget_threading  # noqa: F401
 from . import determinism_taint  # noqa: F401
-from . import shared_capture  # noqa: F401
 
 __all__ = [
     "claim_citation",
@@ -26,8 +24,6 @@ __all__ = [
     "benchmark_drift",
     "obs_timing",
     "complexity_budget",
-    "verify_independence",
     "budget_threading",
     "determinism_taint",
-    "shared_capture",
 ]

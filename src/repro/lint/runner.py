@@ -9,7 +9,7 @@ Two phases per run: the per-module phase (every rule's ``check`` on every
 module — embarrassingly parallel, fanned out over the supervised worker
 pool when ``jobs > 1``) and the project phase (``check_project``, always
 serial: it sees the whole module list at once).  When an interprocedural
-rule (RL010-RL012) is enabled, the runner first builds the whole-program
+rule (RL010-RL011) is enabled, the runner first builds the whole-program
 analysis (:mod:`repro.lint.analysis`) and attaches it to the context,
 routing per-module summary extraction through the digest-keyed on-disk
 cache when one is configured.
@@ -32,7 +32,7 @@ __all__ = ["collect_files", "lint_sources", "lint_paths"]
 _SKIP_DIRS = {"__pycache__", ".git", ".ruff_cache", ".pytest_cache"}
 
 #: Rules that need the whole-program analysis attached to the context.
-_ANALYSIS_RULES = frozenset({"RL010", "RL011", "RL012"})
+_ANALYSIS_RULES = frozenset({"RL010", "RL011"})
 
 
 def collect_files(paths: Iterable[Path | str]) -> list[Path]:
@@ -123,7 +123,7 @@ def lint_sources(
 
     if any(r.rule_id in _ANALYSIS_RULES for r in rules):
         # Attach the whole-program analysis before the project phase so
-        # RL010-RL012 share one build (and one summary-cache pass).
+        # RL010-RL011 share one build (and one summary-cache pass).
         from .analysis.cache import SummaryCache
         from .analysis.project import build_project_analysis
 

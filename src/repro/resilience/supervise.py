@@ -25,21 +25,12 @@ checkpoint completed work ranges as they land.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from ..obs import (
-    ShardCollector,
-    TraceContext,
-    activate,
-    current,
-    incr,
-    new_run_id,
-)
+from ..obs import incr
 from .budget import Budget
 
 __all__ = ["RetryPolicy", "SupervisionReport", "supervised_map"]
@@ -100,69 +91,11 @@ class SupervisionReport:
     errors: list[str] = field(default_factory=list)
     task_attempts: dict[int, int] = field(default_factory=dict)
     degraded_tasks: list[int] = field(default_factory=list)
-    #: Fleet-telemetry pointer block (run_id, dir, shard_files) when the
-    #: run was traced; feed the shard files to
-    #: :func:`repro.obs.telemetry.merge_shards` for one timeline.
-    telemetry: dict[str, Any] | None = None
 
     @property
     def complete(self) -> bool:
         """Whether every task produced a result."""
         return self.completed == self.total
-
-
-class _TeleInitializer:
-    """Picklable pool initializer chaining telemetry onto the caller's.
-
-    In a fresh pool worker it installs a process-global
-    :class:`~repro.obs.telemetry.ShardCollector` journaling to
-    ``dir/pool-<pid>.jsonl`` under the inherited trace context, so every
-    span/counter the task code records lands in that worker's shard
-    file.  In the *parent* (serial fallback runs the initializer there
-    too) an already-active collector — e.g. a traced CLI run's own
-    collector — is left in place: the parent's observations belong to
-    the parent's trace.
-    """
-
-    def __init__(
-        self,
-        wire: dict[str, Any],
-        inner: Callable[..., None] | None,
-        innerargs: tuple,
-    ) -> None:
-        self.wire = wire
-        self.inner = inner
-        self.innerargs = innerargs
-
-    def __call__(self) -> None:
-        if current() is None:
-            tele = ShardCollector(
-                Path(self.wire["dir"]) / f"pool-{os.getpid()}.jsonl",
-                context=TraceContext.from_wire(self.wire.get("context")),
-                worker=f"pool-{os.getpid()}",
-            )
-            activate(tele)
-            tele.flush()
-        if self.inner is not None:
-            self.inner(*self.innerargs)
-
-
-class _TeleTask:
-    """Picklable task wrapper: one flushed ``pool.task`` span per call."""
-
-    def __init__(self, fn: Callable[[Any], Any]) -> None:
-        self.fn = fn
-
-    def __call__(self, task: Any) -> Any:
-        col = current()
-        if not isinstance(col, ShardCollector):
-            return self.fn(task)
-        with col.span("pool.task"):
-            out = self.fn(task)
-        # Journal after every task: the shard file always reflects the
-        # last completed task, whatever kills this worker next.
-        col.flush()
-        return out
 
 
 def supervised_map(
@@ -176,7 +109,6 @@ def supervised_map(
     budget: Budget | None = None,
     on_result: Callable[[int, Any, Any], None] | None = None,
     report: SupervisionReport | None = None,
-    telemetry: str | dict | None = None,
 ) -> list[Any]:
     """Map ``task_fn`` over ``tasks`` under supervision.
 
@@ -184,34 +116,10 @@ def supervised_map(
     off (inspect ``report.complete`` to distinguish).  ``task_fn`` must be
     picklable (module-level) and is also called directly in the parent for
     serial fallback, after running ``initializer`` there once.
-
-    ``telemetry`` opts the pool into fleet tracing: a directory path (a
-    fresh run id is minted) or a full ``{"dir", "context"}`` wire dict
-    (to nest under an enclosing trace).  Each pool worker journals
-    spans/counters to ``dir/pool-<pid>.jsonl``; the pointer block lands
-    in ``report.telemetry`` and the shard files merge with
-    :func:`repro.obs.telemetry.merge_shards`.
     """
     policy = policy or RetryPolicy()
     report = report if report is not None else SupervisionReport()
     report.total = len(tasks)
-
-    if telemetry is not None:
-        wire = (
-            {"dir": str(telemetry),
-             "context": TraceContext(new_run_id()).to_wire()}
-            if not isinstance(telemetry, dict) else dict(telemetry)
-        )
-        initializer = _TeleInitializer(wire, initializer, initargs)
-        initargs = ()
-        task_fn = _TeleTask(task_fn)
-        tele_dir = Path(wire["dir"])
-        ctx = TraceContext.from_wire(wire.get("context"))
-        report.telemetry = {
-            "run_id": ctx.run_id if ctx is not None else None,
-            "dir": str(tele_dir),
-            "shard_files": [],
-        }
     results: list[Any] = [None] * len(tasks)
     done = [False] * len(tasks)
 
@@ -243,18 +151,10 @@ def supervised_map(
             _run_serial(i, degraded=degraded)
         return results
 
-    def _finalize(res: list[Any]) -> list[Any]:
-        if report.telemetry is not None:
-            report.telemetry["shard_files"] = sorted(
-                str(p)
-                for p in Path(report.telemetry["dir"]).glob("pool-*.jsonl")
-            )
-        return res
-
     if not tasks:
-        return _finalize(results)
+        return results
     if workers <= 1:
-        return _finalize(_serial_sweep())
+        return _serial_sweep()
 
     pool = None
     try:
@@ -264,7 +164,7 @@ def supervised_map(
             report.pool_broken = True
             report.errors.append(f"pool unavailable: {exc}")
             incr("pool.broken")
-            return _finalize(_serial_sweep(degraded=True))
+            return _serial_sweep(degraded=True)
 
         now = time.monotonic  # repro-lint: disable=RL007 -- task deadlines, not a measurement span
         attempts = [0] * len(tasks)
@@ -331,7 +231,7 @@ def supervised_map(
                     _failed(i, "task timeout (crashed or hung worker)")
             if not progressed:
                 _sleep(_POLL_SECONDS)
-        return _finalize(results)
+        return results
     finally:
         if pool is not None:
             # Terminate rather than close: lost tasks from killed workers

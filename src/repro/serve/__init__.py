@@ -4,12 +4,12 @@ The serving layer turns the repo's solve pipeline into a concurrent
 API: an asyncio HTTP front end (:mod:`repro.serve.server`) accepts
 network specs, a dedup-aware job queue (:mod:`repro.serve.queue`)
 collapses isomorphic requests onto one solve through the canonical
-fingerprints of :mod:`repro.perf.canonical`, and the degradation
-cascade executes under per-request budgets via the supervised pool —
-so the answer is always a *certificate* (checkable by
-``repro-butterfly verify``), never a timeout error.  Telemetry rides
-the PR 8 fleet-tracing stack: live OpenMetrics at ``/metrics``, a
-merged span timeline on shutdown.
+fingerprints of :mod:`repro.perf.canonical`, and the queue's drain
+thread runs the degradation cascade under per-request budgets — so the
+answer is always a *certificate* (checkable by ``repro-butterfly
+verify``), never a timeout error.  Telemetry rides the fleet-tracing
+stack of :mod:`repro.obs.telemetry`: live OpenMetrics at ``/metrics``,
+a merged span timeline on shutdown.
 
 Start one from the CLI (``repro-butterfly serve``) or in-process::
 

@@ -1,4 +1,4 @@
-"""The job model of the serving API and its picklable solve task.
+"""The job model of the serving API and its solve task.
 
 A *job* is one accepted solve request on its way through the queue:
 ``queued`` → ``running`` → ``done`` (a certificate is ready) or
@@ -10,12 +10,10 @@ client's network spec through the same
 certificate files use, so a drifted or malformed spec is rejected at the
 door (HTTP 400) instead of surfacing as a solver error.
 
-:func:`solve_job` is the module-level unit of work
-:func:`~repro.resilience.supervise.supervised_map` executes — picklable
-for the multi-process pool, exception-free by contract (the serial
-degrade path runs it in the drain thread, where an escaped exception
-would kill the queue), returning either a ready-to-serialize
-certificate dict or an ``{"error": ...}`` record.
+:func:`solve_job` is the unit of work the queue's drain thread runs,
+exception-free by contract (an escaped exception would fail every job
+of its batch), returning either a ready-to-serialize certificate dict
+or an ``{"error": ...}`` record.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The serving job queue: canonical-fingerprint dedup over a supervised pool.
+"""The serving job queue: canonical-fingerprint dedup ahead of one drain thread.
 
 Two layers of deduplication turn a zipfian request mix into roughly one
 solve per automorphism orbit:
@@ -13,10 +13,10 @@ solve per automorphism orbit:
   first solve has warmed the shared :class:`~repro.perf.cache.SolverCache`
   and the held job resolves as a tier-0 hit with a transported witness.
 
-Execution goes through :func:`~repro.resilience.supervise.supervised_map`
-(``workers <= 1`` runs serially in the drain thread — counters land on
-the server's collector; more workers fan out to a supervised process
-pool with telemetry shards).  Each task carries the *remaining* budget
+The drain thread solves each admitted job in turn with
+:func:`~repro.serve.jobs.solve_job`, so spans and counters land on the
+server's collector; when that collector journals to a telemetry shard,
+it is flushed after every job.  Each job carries the *remaining* budget
 at execution time: deadlines are fixed at submission, so time spent
 queued is spent budget, and a request that expires mid-queue still
 returns the certified tier-5 interval rather than an error.
@@ -32,9 +32,8 @@ import threading
 import time
 from typing import Any
 
-from ..obs import gauge, incr
+from ..obs import ShardCollector, current, gauge, incr
 from ..perf.canonical import canonical_form
-from ..resilience.supervise import SupervisionReport, supervised_map
 from ..topology.base import Network
 from .jobs import DONE, FAILED, RUNNING, Job, solve_job
 
@@ -44,28 +43,21 @@ __all__ = ["JobQueue"]
 class JobQueue:
     """In-process queue of solve jobs with a background drain thread.
 
-    ``cache_dir`` is the shared solver-cache root every worker opens
+    ``cache_dir`` is the shared solver-cache root every solve opens
     (``None`` disables tier-0 entirely — used by the conformance tests,
-    which need byte-identical cold solves).  ``telemetry`` is an
-    optional ``{"dir", "context"}`` wire dict handed to
-    :func:`supervised_map` so pool workers journal onto the server's
-    timeline.
+    which need byte-identical cold solves).
     """
 
     def __init__(
         self,
         *,
         cache_dir: str | None = None,
-        workers: int = 1,
-        telemetry: dict[str, Any] | None = None,
         # repro-lint: disable=RL007 -- request deadlines share the budget clock; injectable for tests
         clock=time.monotonic,
     ) -> None:
         self._cond = threading.Condition()
         self._clock = clock
         self._cache_dir = None if cache_dir is None else str(cache_dir)
-        self._workers = int(workers)
-        self.telemetry = telemetry
         self._jobs: dict[str, Job] = {}
         self._pending: list[Job] = []
         self._inflight: dict[str, str] = {}  # edge digest -> live job id
@@ -193,27 +185,22 @@ class JobQueue:
 
     def _execute(self, batch: list[Job]) -> None:
         now = self._clock()
-        tasks = []
+        incr("serve.solves", len(batch))
+        col = current()
+        results = []
         for job in batch:
             remaining = None
             if job.deadline is not None:
                 remaining = max(0.0, job.deadline - now)
-            tasks.append(
-                {
-                    "spec": job.spec,
-                    "cache": self._cache_dir,
-                    "budget_seconds": remaining,
-                }
-            )
-        incr("serve.solves", len(batch))
-        report = SupervisionReport()
-        results = supervised_map(
-            solve_job,
-            tasks,
-            workers=self._workers,
-            telemetry=self.telemetry,
-            report=report,
-        )
+            results.append(solve_job({
+                "spec": job.spec,
+                "cache": self._cache_dir,
+                "budget_seconds": remaining,
+            }))
+            if isinstance(col, ShardCollector):
+                # Journal after every job, before it settles: a killed
+                # server's shard still holds every job a client saw done.
+                col.flush()
         finished = self._clock()
         with self._cond:
             for job, res in zip(batch, results):

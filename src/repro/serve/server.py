@@ -18,9 +18,10 @@ library.  Routes:
 The server owns the process-global obs collector for its lifetime: a
 plain in-memory :class:`~repro.obs.Collector`, or — when a telemetry
 directory is configured — a journaling
-:class:`~repro.obs.telemetry.ShardCollector` whose shards (server +
-pool workers) merge into ``<dir>/timeline.json`` on shutdown, the same
-fleet-timeline artifact the distributed runner produces.
+:class:`~repro.obs.telemetry.ShardCollector` whose ``server.jsonl``
+shard the drain thread flushes after every job and which merges into
+``<dir>/timeline.json`` on shutdown, the same fleet-timeline artifact
+the distributed sweep produces.
 
 Request handling is split so that every span opens and closes inside
 one synchronous call on the loop thread: asyncio may interleave
@@ -132,11 +133,6 @@ class ServeServer:
         self._anchor.__enter__()
         if isinstance(self.collector, ShardCollector):
             self.collector.flush()
-            # Pool workers journal their shards under the server's run.
-            self.queue.telemetry = {
-                "dir": str(self._telemetry_dir),
-                "context": TraceContext(self.run_id, self._anchor.id).to_wire(),
-            }
         if start_queue:
             self.queue.start()
         ready = threading.Event()

@@ -79,6 +79,10 @@ def network_spec(net: Network) -> dict[str, Any]:
 #: No index reaches this many nodes; node counts stop growing here.
 _INDEX_LIMIT = 1 << 63
 
+#: The largest network a spec may name: the build limit of
+#: :func:`repro.cuts.butterfly_bisection.butterfly_bisection_below_n`.
+_MAX_SPEC_NODES = 1 << 24
+
 
 def _capped_product(factors: list[int]) -> int:
     """``prod(factors)``, or :data:`_INDEX_LIMIT` once it gets that large."""
@@ -140,8 +144,16 @@ def spec_node_count(spec: Any) -> int:
 def network_from_spec(spec: Any) -> Network:
     """Rebuild the network a spec describes, refusing drifted specs.
 
-    Raises ``ValueError`` for every malformed or drifted spec.
+    Raises ``ValueError`` for every malformed or drifted spec, and for a
+    spec naming more than ``2^24`` nodes, which is refused from its
+    parameters before anything is built.
     """
+    count = spec_node_count(spec)
+    if count > _MAX_SPEC_NODES:
+        raise ValueError(
+            f"network spec names {count} nodes; at most {_MAX_SPEC_NODES} "
+            f"are built"
+        )
     family = _spec_family(spec)
     with _spec_errors():
         params = spec.get("params", {})

@@ -71,11 +71,6 @@ class TestEnsure:
         s = coord.ensure(RANGES)
         assert s["shards"] == 3
 
-    def test_meta_round_trips(self, tmp_path):
-        coord = _coord(tmp_path, _Clock())
-        coord.ensure(RANGES, meta={"family": "bn", "n": 8})
-        assert coord.summary()["meta"] == {"family": "bn", "n": 8}
-
 
 class TestClaim:
     def test_claims_are_exclusive_and_in_order(self, tmp_path):

@@ -93,6 +93,31 @@ class TestChaos:
         assert np.array_equal(serial.witnesses, dist.witnesses)
         assert _no_leaked_children()
 
+    def test_cascade_certifies_a_chaos_settled_state(self, tmp_path):
+        """The same chaos run, then the cascade on its state directory:
+        the serial interval and witness, and not one new claim."""
+        net = random_regular_graph(14, 3, seed=7)
+        state = str(tmp_path / "st")
+        sched = CrashSchedule.seeded(tmp_path / "chaos", 11, workers=4, kills=2)
+        distributed_cut_profile(
+            net, state_dir=state, shards=8, workers=4,
+            schedule=sched, lease_seconds=1.0, batch_bits=10,
+        )
+        settled = ShardCoordinator.peek(state)
+        assert settled["settled"] and settled["events"]["reclaims"] >= 2
+
+        serial = solve_with_fallback(net)
+        cert = solve_with_fallback(
+            net, shards=8, dist_state=state, dist_workers=4,
+        )
+        assert (cert.lower, cert.upper) == (serial.lower, serial.upper)
+        assert serial.lower == serial.upper
+        assert np.array_equal(cert.witness.side, serial.witness.side)
+        assert cert.upper_evidence.startswith("tier-1 distributed enumeration")
+        assert cert.verify(net).ok
+        assert ShardCoordinator.peek(state)["events"] == settled["events"]
+        assert _no_leaked_children()
+
     def test_whole_fleet_dead_parent_takes_over(self, b4, tmp_path):
         serial = cut_profile(b4)
         sched = CrashSchedule.seeded(

@@ -54,3 +54,53 @@ class TestStdlibOnly:
         src = '"""Doc."""\nimport numpy as np\n'
         findings = run_lint({"src/repro/lint/m.py": src}, **_SELECT)
         assert any("stdlib-only" in f.message for f in findings)
+
+
+class TestVerifyIndependence:
+    """No solver package may import the independent checker, at any depth."""
+
+    @staticmethod
+    def _one_error(path, src):
+        findings = run_lint({path: src}, **_SELECT)
+        assert [(f.rule_id, f.severity.value) for f in findings] == [
+            ("RL002", "error")
+        ]
+
+    def test_module_level_import_in_a_solver_is_flagged(self):
+        self._one_error(
+            "src/repro/cuts/m.py", "from repro.verify import check_certificate\n"
+        )
+
+    def test_plain_import_is_flagged(self):
+        self._one_error("src/repro/perf/m.py", "import repro.verify.checker\n")
+
+    def test_function_level_import_is_flagged(self):
+        src = (
+            "def solve():\n"
+            "    from repro.verify.checker import recount_capacity\n"
+            "    return recount_capacity\n"
+        )
+        self._one_error("src/repro/cuts/m.py", src)
+
+    def test_relative_import_is_flagged(self):
+        self._one_error("src/repro/cuts/m.py", "from ..verify import checker\n")
+
+    def test_from_repro_import_verify_is_flagged(self):
+        self._one_error("src/repro/perf/m.py", "from repro import verify\n")
+
+    def test_non_solver_packages_may_import_verify(self):
+        findings = run_lint(
+            {
+                "src/repro/core/m.py": "from repro.verify import checker\n",
+                "src/repro/serve/m.py": "import repro.verify\n",
+            },
+            **_SELECT,
+        )
+        assert findings == []
+
+    def test_other_imports_in_solvers_are_fine(self):
+        findings = run_lint(
+            {"src/repro/cuts/m.py": "from repro.topology import butterfly\n"},
+            **_SELECT,
+        )
+        assert findings == []

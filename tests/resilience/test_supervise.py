@@ -251,55 +251,3 @@ class TestBudget:
         assert out == [1, 4, None, None]
         assert report.completed == 2 and not report.complete
 
-
-class TestPoolTelemetry:
-    def test_pool_workers_journal_shards_that_merge(self, tmp_path):
-        from repro.obs import merge_shards, validate_timeline
-
-        report = SupervisionReport()
-        out = supervised_map(
-            _square, [1, 2, 3, 4, 5, 6], workers=2, policy=_FAST,
-            report=report, telemetry=str(tmp_path / "tele"),
-        )
-        assert out == [1, 4, 9, 16, 25, 36]
-        tele = report.telemetry
-        assert tele is not None and tele["run_id"]
-        assert tele["shard_files"]  # every worker journaled a shard
-
-        doc = merge_shards(tele["shard_files"], run_id=tele["run_id"])
-        assert validate_timeline(doc) == []
-        spans = [s for s in doc["spans"] if s["name"] == "pool.task"]
-        assert len(spans) == 6  # one flushed span per task
-        assert _no_leaked_children()
-
-    def test_serial_fallback_keeps_ambient_collector(self, tmp_path):
-        # A traced parent (manifest collector active) running the serial
-        # path must keep its own collector: pool telemetry is for fresh
-        # worker processes, not for hijacking the parent's trace.
-        report = SupervisionReport()
-        with obs.collecting() as col:
-            out = supervised_map(
-                _square, [2, 3], workers=1, report=report,
-                telemetry=str(tmp_path / "tele"),
-            )
-            assert obs.current() is col
-        assert out == [4, 9]
-        # No pool shard was journaled in the parent.
-        assert report.telemetry["shard_files"] == []
-
-    def test_wire_dict_nests_under_enclosing_context(self, tmp_path):
-        from repro.obs import TraceContext, read_shard
-
-        wire = {"dir": str(tmp_path / "tele"),
-                "context": TraceContext("outer-run", 3).to_wire()}
-        report = SupervisionReport()
-        supervised_map(
-            _square, [1, 2, 3, 4], workers=2, policy=_FAST,
-            report=report, telemetry=wire,
-        )
-        assert report.telemetry["run_id"] == "outer-run"
-        for path in report.telemetry["shard_files"]:
-            header = read_shard(path)["header"]
-            assert header["run_id"] == "outer-run"
-            assert header["parent_span_id"] == 3
-        assert _no_leaked_children()

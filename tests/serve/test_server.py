@@ -178,6 +178,25 @@ class TestTelemetry:
         assert "serve.solve" in names
         assert doc["counters"]["serve.solves"] == 1
 
+    def test_finished_job_is_journaled_before_shutdown(self, tmp_path):
+        from repro.obs import read_shard
+
+        tele = tmp_path / "tele"
+        srv = ServeServer(
+            JobQueue(cache_dir=None), port=0, telemetry=str(tele),
+        ).start()
+        try:
+            client = ServeClient(srv.host, srv.port)
+            _, status = client.solve_and_wait(BN4, wait=60)
+            assert status["state"] == "done"
+            # A server killed now loses nothing a client already saw done.
+            shard = read_shard(tele / "server.jsonl")
+            solves = [s for s in shard["spans"] if s["name"] == "serve.solve"]
+            assert len(solves) == 1
+            assert solves[0]["attrs"]["network"] == "B4"
+        finally:
+            srv.stop()
+
     def test_collector_restored_after_stop(self, tmp_path):
         from repro.obs import current
 
@@ -198,3 +217,37 @@ class TestOrbitServing:
         cert = client.result(accepted["job"])
         assert cert["network"]["edge_digest"] == torus(4, 3).edge_digest
         assert cert["lower"] == cert["upper"]
+
+
+#: ``repro-butterfly serve`` whose server signals itself SIGTERM the moment
+#: it listens: the earliest a client that read the port file can stop it.
+_SELF_TERMINATING_SERVE = """
+import os, signal, sys
+from repro.cli import main
+from repro.serve import ServeServer
+
+start = ServeServer.start
+
+def start_then_sigterm(self, **kwargs):
+    started = start(self, **kwargs)
+    os.kill(os.getpid(), signal.SIGTERM)
+    return started
+
+ServeServer.start = start_then_sigterm
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestShutdownSignal:
+    def test_sigterm_as_soon_as_listening_exits_zero(self, tmp_path):
+        import subprocess
+        import sys
+
+        port_file = tmp_path / "port"
+        proc = subprocess.run(
+            [sys.executable, "-c", _SELF_TERMINATING_SERVE, "serve",
+             "--port", "0", "--no-cache", "--port-file", str(port_file)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert port_file.read_text().endswith("\n")

@@ -147,28 +147,28 @@ class TestStats:
 
 class TestDist:
     def test_run_status_merge_round_trip(self, capsys, tmp_path):
+        """A sharded solve, ``dist status`` on its state, then the same
+        solve again: on the settled state it merges the done shards into
+        the same certificate bytes without claiming a shard."""
+        from repro.dist import ShardCoordinator
+
         state = str(tmp_path / "st")
-        cert = str(tmp_path / "cert.json")
-        assert main([
-            "dist", "run", "bn", "4", "--state", state,
-            "--shards", "4", "--workers", "2", "--certificate", cert,
-        ]) == 0
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        argv = ["solve", "fbfly", "4", "--shards", "8", "--dist-workers", "2",
+                "--dist-state", state, "--no-cache", "--certificate"]
+        assert main(argv + [str(first)]) == 0
         out = capsys.readouterr().out
-        assert "4/4 shards done" in out
-        assert "BW(B4) = 4" in out
-        data = json.loads(open(cert).read())
-        assert (data["lower"], data["upper"]) == (4, 4)
+        assert out.startswith("BW(FBfly4d2) = 16 (tier-1 distributed enumeration")
+        assert "8/8 shards done" in out
 
         assert main(["dist", "status", "--state", state]) == 0
-        out = capsys.readouterr().out
-        assert "done=4" in out
+        assert "done=8" in capsys.readouterr().out
+        events = ShardCoordinator.peek(state)["events"]
 
-        merged = str(tmp_path / "merged.json")
-        assert main([
-            "dist", "merge", "--state", state, "--certificate", merged,
-        ]) == 0
-        again = json.loads(open(merged).read())
-        assert (again["lower"], again["upper"]) == (4, 4)
+        assert main(argv + [str(again)]) == 0
+        assert capsys.readouterr().out == out
+        assert again.read_bytes() == first.read_bytes()
+        assert ShardCoordinator.peek(state)["events"] == events
 
     def test_status_on_missing_state(self, capsys, tmp_path):
         assert main(["dist", "status", "--state", str(tmp_path / "no")]) == 2
@@ -178,14 +178,28 @@ class TestDist:
         assert main(["solve", "bn", "4", "--shards", "4"]) == 0
         assert "BW(B4) = 4" in capsys.readouterr().out
 
+    def test_shards_past_the_enumeration_limit(self, capsys):
+        # B16's 80 nodes skip tier 1, sharded or not; the claim tier answers.
+        assert main(["solve", "bn", "16", "--shards", "4", "--no-cache"]) == 0
+        assert capsys.readouterr().out.startswith("BW(B16) in [14, 16]")
+
+    def test_removed_entry_points_are_usage_errors(self, capsys):
+        for argv in (["dist", "run", "bn", "4", "--state", "unused"],
+                     ["dist", "merge", "--state", "unused"],
+                     ["serve", "--workers", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+
 
 class TestTelemetryCLI:
     def _traced_run(self, tmp_path):
         state = str(tmp_path / "st")
         tele = tmp_path / "tele"
         rc = main([
-            "dist", "run", "bn", "4", "--state", state,
-            "--shards", "4", "--workers", "2", "--telemetry", str(tele),
+            "solve", "bn", "4", "--shards", "4", "--dist-workers", "2",
+            "--dist-state", state, "--dist-telemetry", str(tele),
         ])
         return rc, state, tele
 
@@ -194,11 +208,10 @@ class TestTelemetryCLI:
 
         rc, _state, tele = self._traced_run(tmp_path)
         assert rc == 0
-        err = capsys.readouterr().err
-        assert "telemetry:" in err
-        assert "critical path:" in err and "dist.run" in err
+        assert "BW(B4) = 4" in capsys.readouterr().out
         timeline = load_timeline(tele / "timeline.json")
         assert validate_timeline(timeline) == []
+        assert timeline["critical_path"]["names"][0] == "dist.run"
         assert (tele / "parent.jsonl").exists()
 
     def test_status_watch_once_renders_progress(self, capsys, tmp_path):
@@ -256,20 +269,24 @@ class TestTelemetryCLI:
     def test_solve_dist_telemetry_flag(self, capsys, tmp_path):
         from repro.obs import load_timeline, validate_timeline
 
-        tele = tmp_path / "tele"
+        tele, run = tmp_path / "tele", tmp_path / "run.json"
         assert main([
             "solve", "bn", "4", "--shards", "4",
-            "--dist-telemetry", str(tele),
+            "--dist-telemetry", str(tele), "--trace", str(run),
         ]) == 0
         assert "BW(B4) = 4" in capsys.readouterr().out
         assert validate_timeline(load_timeline(tele / "timeline.json")) == []
+        # The run timeline points at the fleet's shard files and timeline.
+        pointer = load_timeline(run)["telemetry"]
+        assert pointer["timeline"] == str(tele / "timeline.json")
 
 
 class TestTimeoutValidation:
     @pytest.mark.parametrize("argv", [
         ["solve", "bn", "2", "--timeout", "-1"],
         ["solve", "bn", "2", "--timeout", "nan"],
-        ["dist", "run", "bn", "2", "--state", "unused", "--timeout", "-1"],
+        ["solve", "bn", "2", "--shards", "4", "--dist-state", "unused",
+         "--timeout", "-1"],
         ["serve", "--timeout", "-1"],
         ["serve", "--timeout", "0"],
     ])
@@ -294,7 +311,7 @@ class TestFamilySizeValidation:
         ["solve", "mesh", "1"],
         ["solve", "torus", "2", "--dims", "5"],
         ["bisection", "ccc", "2"],
-        ["dist", "run", "fattree", "0", "--state", "unused"],
+        ["solve", "fattree", "0", "--shards", "4", "--dist-state", "unused"],
     ])
     def test_rejected_with_one_usage_line(self, capsys, argv):
         assert main(argv) == 2

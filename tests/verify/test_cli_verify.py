@@ -98,6 +98,27 @@ class TestMalformedCertificateSpecs:
         assert "Traceback" not in err
 
 
+class TestHostileCertificateSpecs:
+    """A spec naming more than 2^24 nodes is refused before it is built."""
+
+    @pytest.mark.parametrize("params", [{"n": 1 << 30}, {"n": 1 << 20}])
+    def test_rejected_without_building(self, bn3_cert, capsys, monkeypatch,
+                                       params):
+        import repro.verify.serialize as serialize
+
+        def _no_build(*args, **kwargs):
+            raise AssertionError("the family constructor ran")
+
+        monkeypatch.setattr(serialize, "Butterfly", _no_build)
+        data = json.loads(bn3_cert.read_text())
+        data["network"]["params"] = params
+        bn3_cert.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(bn3_cert)]) == 1
+        err = capsys.readouterr().err
+        assert "REJECTED" in err and "at most 16777216 are built" in err
+
+
 class TestVerifyRunRecord:
     def test_timeline_without_a_result_has_nothing_to_verify(self, tmp_path, capsys):
         trace = tmp_path / "run.json"
