@@ -88,6 +88,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 
 __all__ = ["main"]
@@ -122,19 +123,39 @@ def _family_network(family: str, n: int, dims: int = 2):
     The paper indexes butterflies by their input count ``n`` (a power of
     two); as a convenience a non-power-of-two ``n`` is read as the
     dimension, so ``solve bn 3`` means the 3-dimensional butterfly B8.
+    An instance of more than ``2^24`` nodes, the cap certificate and
+    served specs get, is refused with ``ValueError`` before it is built.
     """
     from .topology import (
         butterfly, cube_connected_cycles, fat_tree, flattened_butterfly,
         mesh, torus, wrapped_butterfly,
     )
     from .topology.labels import is_power_of_two
+    from .verify.serialize import _MAX_SPEC_NODES, spec_node_count
 
     if family in ("bn", "wn") and not is_power_of_two(n):
+        if n >= 63:  # refused below anyway; 1 << n alone could exhaust memory
+            raise ValueError(
+                f"{family} {n}: dimension {n} names more than 2^63 nodes; "
+                f"at most {_MAX_SPEC_NODES} are built"
+            )
         n = 1 << n
+    # Past 64 sides of at least 2 the count is over the cap; a smaller
+    # side is refused by the torus and mesh constructors.
+    sides = (n,) * min(dims, 64)
+    count = spec_node_count({"family": family, "params": {
+        "n": n, "sides": sides, "ary": n, "dims": dims, "depth": n,
+    }})
+    if count > _MAX_SPEC_NODES:
+        shape = f" --dims {dims}" if family in _DIMS_FAMILIES else ""
+        raise ValueError(
+            f"{family} {n}{shape} names {count} nodes; at most "
+            f"{_MAX_SPEC_NODES} are built"
+        )
     if family == "torus":
-        return torus(*(n,) * dims)
+        return torus(*sides)
     if family == "mesh":
-        return mesh(*(n,) * dims)
+        return mesh(*sides)
     if family == "fattree":
         return fat_tree(n)
     if family == "fbfly":
@@ -173,8 +194,6 @@ def _cmd_folklore(args: argparse.Namespace) -> int:
 
 def _resolve_cache_dir(args: argparse.Namespace) -> str | None:
     """The cache root for ``solve``: flag beats env, ``--no-cache`` beats both."""
-    import os
-
     if getattr(args, "no_cache", False):
         return None
     return getattr(args, "cache", None) or os.environ.get("REPRO_CACHE_DIR") or None
@@ -306,10 +325,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"verify: {args.path}: no solve result to verify",
                   file=sys.stderr)
             return 2
-        report = check_certificate(
-            _network_from_command(data.get("command")), dict(result),
-            require_witness=False,
-        )
+        try:
+            net = _network_from_command(data.get("command"))
+        except ValueError as exc:
+            print(f"verify: REJECTED: {exc}", file=sys.stderr)
+            return 1
+        report = check_certificate(net, dict(result), require_witness=False)
     else:
         print(_not_a_run_record("verify", args.path, data), file=sys.stderr)
         return 2
@@ -332,7 +353,11 @@ def _not_a_run_record(cmd: str, path: str, data: dict) -> str:
 
 
 def _network_from_command(command) -> "object | None":
-    """Rebuild the solved network from a run timeline's recorded command."""
+    """Rebuild the solved network from a run timeline's recorded command.
+
+    ``None`` when the command names no family instance; ``ValueError``
+    when it names one :func:`_family_network` refuses.
+    """
     families = ("bn", "wn", "ccc", "torus", "mesh", "fattree", "fbfly")
     if (
         not isinstance(command, list) or len(command) < 3
@@ -347,10 +372,7 @@ def _network_from_command(command) -> "object | None":
         )
     except (ValueError, IndexError):
         return None
-    try:
-        return _family_network(command[1], n, dims)
-    except ValueError:
-        return None
+    return _family_network(command[1], n, dims)
 
 
 def _progress_bar(fraction: float | None, width: int = 12) -> str:
@@ -572,8 +594,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    import os
-
     from .perf import SolverCache
 
     root = args.dir or os.environ.get("REPRO_CACHE_DIR")
@@ -595,7 +615,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import os
     import signal
     import threading
     from pathlib import Path
@@ -832,7 +851,20 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_lint)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        # Flush here, so a closed stdout surfaces inside the try and not
+        # in the interpreter's exit-time flush.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): end without a
+        # traceback, with Python's own EPIPE status, as the Python docs'
+        # SIGPIPE note does.  Point stdout at devnull so the exit-time
+        # flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

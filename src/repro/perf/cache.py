@@ -9,27 +9,39 @@ fingerprints of :mod:`repro.perf.canonical` so that isomorphic instances
   stored as ``.npz`` payloads;
 * **certificates** — :class:`~repro.core.results.BoundCertificate` field
   dicts (kept as plain data so this layer never imports ``core``), stored
-  inline in the JSON index.  Exact certificates are returned as hits;
-  inexact ones are still kept because their witness cuts seed
-  branch-and-bound warm starts on later runs.
+  as small JSON files.  Exact certificates are returned as hits; inexact
+  ones are still kept because their witness cuts seed branch-and-bound
+  warm starts on later runs.
+
+Layout: one file per entry, named by a hash of the entry's key, so a
+lookup reads one small file and a store replaces one file however many
+entries the cache holds.  A certificate lives at
+``certificates/<2 hex>/<32 hex>.json`` (``format``, ``key``, ``kind``,
+``data``); a profile is its payload alone, ``payloads/<32 hex>.npz``,
+which stores its key beside the values and witnesses.
 
 Durability rules:
 
 * every write lands via temp-file + ``os.replace`` (atomic on POSIX), so
-  a crash mid-store can strand a temp file but never a half-written index
-  or payload;
-* every index read-modify-write holds an ``flock`` on ``index.lock``
-  (the same discipline as :mod:`repro.dist`), so concurrent writers —
-  serving workers, distributed shards — serialize instead of losing each
-  other's entries; reads stay lock-free because the replace is atomic;
-* every read is **corruption-tolerant**: unparsable index → empty cache,
-  unreadable payload → miss, and each loaded witness is re-verified
-  against the live network (capacity and counted-count must match the
-  stored value) so a stale or torn payload degrades to a recompute, never
-  to a wrong answer;
+  a crash mid-store can strand a temp file but never a half-written
+  entry;
+* no write reads or rewrites another entry, so concurrent writers —
+  serving jobs, distributed shards, separate CLI runs — need no lock: two
+  writers racing on one key leave one writer's complete file, and writers
+  on different keys never touch the same file;
+* every read is **corruption-tolerant** and **key-checked**: a missing,
+  torn or unparsable file is a miss, and so is a file that does not name
+  the key being looked up (a hash-prefix collision, or a payload written
+  before payloads stored their key); each loaded witness is then
+  re-verified against the live network (capacity and counted-count must
+  match the stored value) so a stale or forged entry degrades to a
+  recompute, never to a wrong answer;
+* reads never create anything on disk, the root included;
 * keys embed the solver name and a caller-supplied version (which should
   fold in :data:`repro.cuts.enumerate_exact.BATCH_CONTRACT_VERSION`), so a
   semantic solver change orphans old entries instead of reusing them.
+  The single ``index.json`` of earlier versions is never read; ``clear``
+  deletes it.
 
 Obs counters: ``perf.cache.hit`` / ``perf.cache.miss`` /
 ``perf.cache.store`` (and ``perf.cache.bypass``, emitted by callers that
@@ -45,14 +57,9 @@ import os
 import tempfile
 import zipfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator
 
 import numpy as np
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
 
 from ..cuts.enumerate_exact import CutProfile
 from ..obs import incr
@@ -62,18 +69,40 @@ from .canonical import (
     canonical_form,
     mask_to_side,
     permute_mask,
+    side_to_mask,
     unpermute_mask,
 )
 
 __all__ = ["SolverCache", "PROFILE_SOLVER", "CERTIFICATE_KIND"]
 
-_INDEX_FORMAT = 1
+_ENTRY_FORMAT = 1
 PROFILE_SOLVER = "cuts.enumerate"
 CERTIFICATE_KIND = "core.fallback"
+
+#: Files of the single-index layout; ignored on read, deleted by ``clear``.
+_LEGACY_FILES = ("index.json", "index.lock")
 
 
 def _entry_key(solver: str, version: int | str, canon: CanonicalForm) -> str:
     return f"{solver}:v{version}:{canon.key}"
+
+
+def _key_digest(key: str) -> str:
+    return hashlib.sha256(key.encode()).hexdigest()[:32]
+
+
+def _replace(path: Path, write: Callable[[Any], object]) -> None:
+    """Write ``path`` whole: ``write(fh)`` fills a temp file, then ``os.replace``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 class SolverCache:
@@ -82,61 +111,46 @@ class SolverCache:
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
         self._payloads = self.root / "payloads"
-        self._index_path = self.root / "index.json"
-        self._lock_path = self.root / "index.lock"
+        self._certificates = self.root / "certificates"
 
     # ------------------------------------------------------------------ #
-    # Index I/O (atomic, corruption-tolerant)
+    # Entry files (one per key; atomic, corruption-tolerant)
     # ------------------------------------------------------------------ #
-    @contextlib.contextmanager
-    def _locked(self):
-        """Serialize index read-modify-writes across processes.
-
-        Readers never take the lock: ``os.replace`` makes every index
-        snapshot self-consistent, and witness re-verification catches
-        anything stale.  Writers must, or two processes interleaving
-        load → mutate → save would silently drop each other's entries.
-        Degrades to a no-op where ``fcntl`` is unavailable (the atomic
-        replace still prevents torn files, only lost updates remain).
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self._lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-    def _load_index(self) -> dict[str, Any]:
-        try:
-            with open(self._index_path, encoding="utf-8") as fh:
-                idx = json.load(fh)
-        except (OSError, ValueError):
-            return {"format": _INDEX_FORMAT, "entries": {}}
-        if not isinstance(idx, dict) or idx.get("format") != _INDEX_FORMAT:
-            return {"format": _INDEX_FORMAT, "entries": {}}
-        if not isinstance(idx.get("entries"), dict):
-            idx["entries"] = {}
-        return idx
-
-    def _save_index(self, idx: dict[str, Any]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".index-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(idx, fh, indent=1, sort_keys=True)
-            os.replace(tmp, self._index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     def _payload_path(self, key: str) -> Path:
-        return self._payloads / f"{hashlib.sha256(key.encode()).hexdigest()[:32]}.npz"
+        return self._payloads / f"{_key_digest(key)}.npz"
+
+    def _certificate_path(self, key: str) -> Path:
+        digest = _key_digest(key)
+        return self._certificates / digest[:2] / f"{digest}.json"
+
+    def _load_index(self, key: str) -> dict[str, Any] | None:
+        """The certificate data stored under ``key``, or ``None``.
+
+        Reads the one entry file for ``key`` and checks that it names
+        ``key``.  ``perfbench/tracing.py`` times cache lookups through
+        this method by name, so the name stays.
+        """
+        try:
+            with open(self._certificate_path(key), "rb") as fh:
+                entry = json.loads(fh.read())
+        except (OSError, ValueError):
+            return None
+        if (
+            not isinstance(entry, dict)
+            or entry.get("format") != _ENTRY_FORMAT
+            or entry.get("key") != key
+            or entry.get("kind") != "certificate"
+        ):
+            return None
+        data = entry.get("data")
+        return data if isinstance(data, dict) else None
+
+    def _entry_files(self) -> Iterator[tuple[str, Path]]:
+        """``(kind, path)`` for every entry file; temp files are skipped."""
+        for path in self._payloads.glob("*.npz"):
+            yield "profile", path
+        for path in self._certificates.glob("*/*.json"):
+            yield "certificate", path
 
     # ------------------------------------------------------------------ #
     # Cut profiles
@@ -162,32 +176,15 @@ class SolverCache:
         masks = [
             permute_mask(int(m), canon.perm) for m in profile.witnesses
         ]
-        path = self._payload_path(key)
-        self._payloads.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self._payloads, prefix=".pay-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh,
-                    values=np.asarray(profile.values, dtype=np.int64),
-                    witness_hex=np.array([f"{m:x}" for m in masks]),
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        with self._locked():
-            idx = self._load_index()
-            idx["entries"][key] = {
-                "kind": "profile",
-                "file": path.name,
-                "nodes": net.num_nodes,
-                "counted": int(len(profile.counted)),
-            }
-            self._save_index(idx)
+        _replace(
+            self._payload_path(key),
+            lambda fh: np.savez(
+                fh,
+                key=np.array(key),
+                values=np.asarray(profile.values, dtype=np.int64),
+                witness_hex=np.array([f"{m:x}" for m in masks]),
+            ),
+        )
         incr("perf.cache.store")
         return True
 
@@ -212,22 +209,27 @@ class SolverCache:
         counted = np.unique(np.asarray(counted, dtype=np.int64))
         canon = canonical_form(net, counted)
         key = _entry_key(solver, version, canon)
-        entry = self._load_index()["entries"].get(key)
-        if not isinstance(entry, dict) or entry.get("kind") != "profile":
-            incr("perf.cache.miss")
-            return None
         try:
-            with np.load(self._payloads / str(entry.get("file"))) as payload:
+            with np.load(self._payload_path(key)) as payload:
+                stored_key = payload["key"].item()
                 values = np.asarray(payload["values"], dtype=np.int64)
                 witness_hex = [str(h) for h in payload["witness_hex"]]
         except (OSError, ValueError, KeyError, zipfile.BadZipFile):
             incr("perf.cache.miss")
             return None
         m = len(counted)
-        if values.shape != (m + 1,) or len(witness_hex) != m + 1:
+        if (
+            stored_key != key
+            or values.shape != (m + 1,)
+            or len(witness_hex) != m + 1
+        ):
             incr("perf.cache.miss")
             return None
-        masks = [unpermute_mask(int(h, 16), canon.perm) for h in witness_hex]
+        try:
+            masks = [unpermute_mask(int(h, 16), canon.perm) for h in witness_hex]
+        except ValueError:
+            incr("perf.cache.miss")
+            return None
         # Verify every witness against the live network: the right count
         # on the counted side and exactly the stored capacity.  Any
         # mismatch means corruption or a key collision — treat as a miss.
@@ -265,28 +267,21 @@ class SolverCache:
         key = _entry_key(kind, version, canon)
         data = dict(fields)
         if witness_side is not None:
-            mask = 0
-            for v in np.flatnonzero(np.asarray(witness_side)):
-                mask |= 1 << int(v)
-            data["witness_mask_hex"] = f"{permute_mask(mask, canon.perm):x}"
-        with self._locked():
-            idx = self._load_index()
-            idx["entries"][key] = {"kind": "certificate", "data": data}
-            self._save_index(idx)
+            mask = permute_mask(side_to_mask(witness_side), canon.perm)
+            data["witness_mask_hex"] = f"{mask:x}"
+        entry = {
+            "format": _ENTRY_FORMAT, "key": key, "kind": "certificate", "data": data,
+        }
+        blob = json.dumps(entry, sort_keys=True).encode("utf-8")
+        _replace(self._certificate_path(key), lambda fh: fh.write(blob))
         incr("perf.cache.store")
 
     def _certificate_entry(
         self, net: Network, kind: str, version: int | str
     ) -> tuple[dict[str, Any], CanonicalForm] | None:
         canon = canonical_form(net)
-        key = _entry_key(kind, version, canon)
-        entry = self._load_index()["entries"].get(key)
-        if not isinstance(entry, dict) or entry.get("kind") != "certificate":
-            return None
-        data = entry.get("data")
-        if not isinstance(data, dict):
-            return None
-        return data, canon
+        data = self._load_index(_entry_key(kind, version, canon))
+        return None if data is None else (data, canon)
 
     def _rehydrated_witness(
         self, net: Network, data: dict[str, Any], canon: CanonicalForm
@@ -365,35 +360,39 @@ class SolverCache:
     # Maintenance
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, Any]:
-        """Entry counts and payload footprint (for ``repro-butterfly cache stats``)."""
-        idx = self._load_index()
-        entries = idx["entries"]
-        kinds: dict[str, int] = {}
-        for e in entries.values():
-            k = e.get("kind", "?") if isinstance(e, dict) else "?"
-            kinds[k] = kinds.get(k, 0) + 1
+        """Entry-file counts and bytes (for ``repro-butterfly cache stats``).
+
+        Counts files without opening them; an unreadable file is counted
+        here and reads as a miss.
+        """
+        kinds = {"profile": 0, "certificate": 0}
         payload_bytes = 0
-        if self._payloads.is_dir():
-            payload_bytes = sum(
-                p.stat().st_size for p in self._payloads.glob("*.npz")
-            )
+        for kind, path in self._entry_files():
+            try:
+                payload_bytes += path.stat().st_size
+            except OSError:  # removed since the walk listed it
+                continue
+            kinds[kind] += 1
         return {
             "root": str(self.root),
-            "entries": len(entries),
-            "profiles": kinds.get("profile", 0),
-            "certificates": kinds.get("certificate", 0),
+            "entries": kinds["profile"] + kinds["certificate"],
+            "profiles": kinds["profile"],
+            "certificates": kinds["certificate"],
             "payload_bytes": payload_bytes,
         }
 
     def clear(self) -> int:
-        """Drop every entry and payload; returns the number of entries removed."""
-        with self._locked():
-            removed = len(self._load_index()["entries"])
-            if self._payloads.is_dir():
-                for p in self._payloads.glob("*.npz"):
-                    try:
-                        p.unlink()
-                    except OSError:
-                        pass
-            self._save_index({"format": _INDEX_FORMAT, "entries": {}})
+        """Delete every entry file, and any legacy index; returns entries removed.
+
+        Fan-out directories stay: a concurrent writer may be placing its
+        temp file in one.
+        """
+        removed = 0
+        for _, path in self._entry_files():
+            with contextlib.suppress(FileNotFoundError):
+                path.unlink()
+                removed += 1
+        for name in _LEGACY_FILES:
+            with contextlib.suppress(FileNotFoundError):
+                (self.root / name).unlink()
         return removed

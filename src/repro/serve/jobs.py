@@ -119,7 +119,9 @@ class Job:
     id: str
     key: str  # canonical fingerprint (dedup identity across isomorphs)
     digest: str  # raw edge digest (exact-instance identity)
-    spec: dict[str, Any]
+    # Dropped once the job settles: a long-running server keeps every
+    # settled job, and a done job's certificate embeds the same spec.
+    spec: dict[str, Any] | None
     timeout: float | None
     submitted: float
     deadline: float | None

@@ -205,6 +205,7 @@ class JobQueue:
         with self._cond:
             for job, res in zip(batch, results):
                 job.finished = finished
+                job.spec = None
                 if isinstance(res, dict) and "certificate" in res:
                     job.state = DONE
                     job.certificate = res["certificate"]
@@ -225,5 +226,6 @@ class JobQueue:
                 if job.state == RUNNING:
                     job.state = FAILED
                     job.error = message
+                    job.spec = None
                 self._inflight.pop(job.digest, None)
             self._cond.notify_all()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import solve_with_fallback
+from repro.cuts.enumerate_exact import BATCH_CONTRACT_VERSION, CutProfile, cut_profile
 from repro.obs import Collector, collecting
 from repro.perf.cache import SolverCache
 from repro.resilience import Budget, CancellationToken
@@ -243,3 +244,73 @@ class TestCacheRevalidation:
         assert cert.lower == cert.upper == 4
         assert coll.counters.get("verify.cache_rejected", 0) == 0
         assert coll.counters.get("solve.tiers_run", 0) == 0  # pure tier-0
+
+
+class TestCachedProfile:
+    """Tier 1's cache branch: a cached profile stands in for the sweep only
+    after the independent checker recounts it."""
+
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        import repro.core.fallback as fallback
+
+        calls = []
+        real = fallback.cut_profile
+
+        def _counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fallback, "cut_profile", _counted)
+        return calls
+
+    @staticmethod
+    def _tampered(prof):
+        """The profile with two witnesses swapped: each still cuts the
+        network, but at the wrong counted-side size."""
+        witnesses = prof.witnesses.copy()
+        witnesses[[1, 2]] = witnesses[[2, 1]]
+        return CutProfile(prof.network, prof.counted, prof.values, witnesses, complete=True)
+
+    def test_cached_profile_closes_tier1_without_a_sweep(self, b4, tmp_path, monkeypatch):
+        cache = SolverCache(tmp_path)
+        cache.put_profile(b4, cut_profile(b4), version=BATCH_CONTRACT_VERSION)
+        sweeps = self._count_sweeps(monkeypatch)
+        with collecting(Collector()) as coll:
+            cert = solve_with_fallback(b4, cache=cache)
+        assert sweeps == []
+        assert cert.lower == cert.upper == 4
+        assert cert.upper_evidence == "tier-1 exhaustive enumeration (exact)"
+        assert cert.verify(b4).ok
+        assert coll.counters["perf.cache.hit"] == 1  # the profile; tier 0 missed
+        assert coll.counters.get("verify.cache_rejected", 0) == 0
+
+    def test_tampered_payload_is_recomputed(self, b4, tmp_path, monkeypatch):
+        cache = SolverCache(tmp_path)
+        cache.put_profile(
+            b4, self._tampered(cut_profile(b4)), version=BATCH_CONTRACT_VERSION
+        )
+        sweeps = self._count_sweeps(monkeypatch)
+        cert = solve_with_fallback(b4, cache=cache)
+        assert sweeps == [b4.name]
+        assert cert.lower == cert.upper == 4 and cert.verify(b4).ok
+        # The recomputed profile replaced the tampered one.
+        assert cache.get_profile(b4, version=BATCH_CONTRACT_VERSION) is not None
+
+    def test_profile_failing_the_checker_is_recomputed(self, b4, tmp_path, monkeypatch):
+        """Even a profile the cache hands back is recounted before use."""
+        forged = self._tampered(cut_profile(b4))
+
+        class _ForgingCache(SolverCache):
+            def get_profile(self, net, counted=None, **kwargs):
+                return forged
+
+        sweeps = self._count_sweeps(monkeypatch)
+        with collecting(Collector()) as coll:
+            cert = solve_with_fallback(b4, cache=_ForgingCache(tmp_path))
+        assert sweeps == [b4.name]
+        assert cert.lower == cert.upper == 4 and cert.verify(b4).ok
+        assert coll.counters["verify.cache_rejected"] == 1
+        assert "tier-1 cached profile rejected by the independent checker" in (
+            cert.upper_evidence
+        )

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from repro.cuts import Cut, cut_profile, min_bisection
 from repro.cuts.enumerate_exact import CutProfile
 from repro.obs import collecting
-from repro.perf import SolverCache, cached_cut_profile
+from repro.perf import (
+    SolverCache, cached_cut_profile, canonical_form, permute_mask, side_to_mask,
+)
 from repro.topology import wrapped_butterfly
 
 
@@ -140,3 +144,123 @@ class TestMaintenance:
     def test_cold_cache_stats(self, tmp_path):
         stats = SolverCache(tmp_path / "never-written").stats()
         assert stats["entries"] == 0 and stats["payload_bytes"] == 0
+
+
+def _files(root):
+    """Every file under ``root``: path → (size, mtime_ns, inode)."""
+    out = {}
+    for path in root.rglob("*"):
+        if path.is_file():
+            st = path.stat()
+            out[path] = (st.st_size, st.st_mtime_ns, st.st_ino)
+    return out
+
+
+def _new_file(root, before):
+    (path,) = set(_files(root)) - set(before)
+    return path
+
+
+class TestOneFilePerEntry:
+    """Each entry is its own file: a store touches that file alone, and a
+    read trusts a file only when it names the key being looked up."""
+
+    def test_a_store_changes_only_its_own_file(self, w4, tmp_path):
+        cache = SolverCache(tmp_path)
+        prof = cut_profile(w4)
+        for i in range(150):
+            cache.put_certificate(w4, _exact_fields(4), version=i)
+        for i in range(50):
+            cache.put_profile(w4, prof, version=i)
+        assert cache.stats()["entries"] == 200
+        before = _files(tmp_path)
+        cache.put_certificate(w4, _exact_fields(4), version=200)
+        after = _files(tmp_path)
+        assert set(after) - set(before) == {_new_file(tmp_path, before)}
+        assert {p: after[p] for p in before} == before
+        # Replacing an entry rewrites that entry's file and no other.
+        fields = _exact_fields(4)
+        fields["upper_evidence"] = "a longer, replacement upper-bound evidence"
+        cache.put_certificate(w4, fields, version=7)
+        again = _files(tmp_path)
+        changed = [p for p in after if again[p] != after[p]]
+        assert len(changed) == 1 and set(again) == set(after)
+        assert cache.get_certificate(w4, version=7)["upper_evidence"] == (
+            fields["upper_evidence"]
+        )
+
+    def test_entry_file_holding_another_key_is_a_miss(self, w4, tmp_path):
+        cache = SolverCache(tmp_path)
+        best = min_bisection(w4)
+        fields = _exact_fields(best.capacity)
+        cache.put_certificate(w4, fields, witness_side=best.side, version=1)
+        one = _new_file(tmp_path, {})
+        before = _files(tmp_path)
+        cache.put_certificate(w4, fields, witness_side=best.side, version=2)
+        two = _new_file(tmp_path, before)
+        two.write_bytes(one.read_bytes())  # same data, but version 1's key
+        assert cache.get_certificate(w4, version=2) is None
+        assert cache.get_warm_start(w4, version=2) is None
+        assert cache.get_certificate(w4, version=1) is not None
+
+        prof = cut_profile(w4)
+        before = _files(tmp_path)
+        cache.put_profile(w4, prof, version=1)
+        one = _new_file(tmp_path, before)
+        before = _files(tmp_path)
+        cache.put_profile(w4, prof, version=2)
+        two = _new_file(tmp_path, before)
+        two.write_bytes(one.read_bytes())
+        assert cache.get_profile(w4, version=2) is None
+        assert cache.get_profile(w4, version=1) is not None
+
+    def test_payload_without_a_stored_key_is_a_miss(self, w4, tmp_path):
+        """A payload in the format written before payloads named their
+        key: right path, valid values and witnesses, still a miss."""
+        cache = SolverCache(tmp_path)
+        cache.put_profile(w4, cut_profile(w4))
+        path = _new_file(tmp_path, {})
+        with np.load(path) as payload:
+            values, witness_hex = payload["values"], payload["witness_hex"]
+        with open(path, "wb") as fh:
+            np.savez(fh, values=values, witness_hex=witness_hex)
+        assert cache.get_profile(w4) is None
+
+    def test_unparsable_witness_is_a_miss(self, w4, tmp_path):
+        """A payload that names its key but holds a witness that is no hex
+        number reads as a miss, not as an error."""
+        cache = SolverCache(tmp_path)
+        cache.put_profile(w4, cut_profile(w4))
+        path = _new_file(tmp_path, {})
+        with np.load(path) as payload:
+            fields = {k: payload[k] for k in payload.files}
+        fields["witness_hex"] = np.array(["zz"] * len(fields["witness_hex"]))
+        with open(path, "wb") as fh:
+            np.savez(fh, **fields)
+        assert cache.get_profile(w4) is None
+
+    def test_legacy_index_is_ignored_and_cleared(self, w4, tmp_path):
+        best = min_bisection(w4)
+        canon = canonical_form(w4)
+        data = dict(_exact_fields(best.capacity))
+        data["witness_mask_hex"] = f"{permute_mask(side_to_mask(best.side), canon.perm):x}"
+        key = f"core.fallback:v1:{canon.key}"
+        (tmp_path / "index.json").write_text(json.dumps({
+            "format": 1,
+            "entries": {key: {"kind": "certificate", "data": data}},
+        }))
+        (tmp_path / "index.lock").write_text("")
+        cache = SolverCache(tmp_path)
+        assert cache.get_certificate(w4) is None
+        assert cache.stats()["entries"] == 0
+        cache.put_certificate(w4, _exact_fields(4))
+        assert cache.clear() == 1
+        assert _files(tmp_path) == {}
+
+    def test_stranded_temp_file_is_no_entry(self, w4, tmp_path):
+        cache = SolverCache(tmp_path)
+        cache.put_certificate(w4, _exact_fields(4))
+        entry = _new_file(tmp_path, {})
+        (entry.parent / ".stranded.tmp").write_text("{half an entr")
+        assert cache.stats()["certificates"] == 1
+        assert cache.get_certificate(w4) is not None

@@ -187,9 +187,24 @@ class TestCorruptionTolerance:
         return cache
 
     def test_garbage_index_reads_as_empty(self, warm, b4):
-        warm._index_path.write_text("{not json", encoding="utf-8")
+        """Garbage in an entry file, the profile's or a certificate's, is a miss."""
+        prof = cut_profile(b4)
+        c = b4.num_nodes // 2
+        width = int(prof.values[c])
+        warm.put_certificate(
+            b4,
+            {"quantity": f"BW({b4.name})", "lower": width, "upper": width,
+             "lower_evidence": "tier-1", "upper_evidence": "tier-1"},
+            witness_side=prof.witness_cut(c).side,
+        )
+        assert warm.get_certificate(b4) is not None
+        entries = [p for p in warm.root.rglob("*") if p.is_file()]
+        assert len(entries) == 2
+        for entry in entries:
+            entry.write_text("{not json", encoding="utf-8")
         assert warm.get_profile(b4, version=BATCH_CONTRACT_VERSION) is None
-        assert warm.stats()["entries"] == 0
+        assert warm.get_certificate(b4) is None
+        assert warm.get_warm_start(b4) is None
 
     def test_truncated_payload_is_a_miss(self, warm, b4):
         (payload,) = list((warm.root / "payloads").glob("*.npz"))

@@ -322,6 +322,48 @@ class TestFamilySizeValidation:
         assert ": error: " in err
 
 
+class TestFamilyNodeCap:
+    """A family instance past 2^24 nodes is refused before it is built."""
+
+    @staticmethod
+    def _stub_constructors(monkeypatch):
+        import repro.topology as topology
+
+        def _no_build(*args, **kwargs):
+            raise AssertionError("the family constructor ran")
+
+        for name in ("butterfly", "wrapped_butterfly", "torus"):
+            monkeypatch.setattr(topology, name, _no_build)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "bn", "30"],
+        ["solve", "wn", str(1 << 40)],
+        ["solve", "bn", "100"],
+        ["solve", "torus", "3", "--dims", "100"],
+    ])
+    def test_solve_is_a_usage_error(self, capsys, monkeypatch, argv):
+        self._stub_constructors(monkeypatch)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro-butterfly solve: error: ")
+        assert "at most 16777216 are built" in err
+
+    def test_verify_rejects_a_timeline_naming_one(self, capsys, tmp_path,
+                                                  monkeypatch):
+        trace = tmp_path / "run.json"
+        assert main(["solve", "bn", "3", "--no-cache", "--trace", str(trace)]) == 0
+        self._stub_constructors(monkeypatch)
+        data = json.loads(trace.read_text())
+        data["command"] = ["solve", "bn", "30"]
+        trace.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verify: REJECTED: ")
+        assert "at most 16777216 are built" in err
+
+
 class TestBisectionAlias:
     def test_prints_what_solve_prints(self, capsys):
         assert main(["solve", "bn", "16", "--no-cache"]) == 0
@@ -366,3 +408,23 @@ class TestMainModule:
         )
         assert out.returncode == 0
         assert "BW(CCC8) = 4" in out.stdout
+
+    def test_closed_stdout_ends_without_a_traceback(self, tmp_path, capsys):
+        """``dist status | head`` with the reader already gone: the
+        broken pipe ends the command quietly, with Python's EPIPE status."""
+        import os, subprocess, sys
+
+        state = str(tmp_path / "st")
+        assert main(["solve", "bn", "4", "--shards", "4", "--no-cache",
+                     "--dist-state", state]) == 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "repro", "dist", "status", "--state", state],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert out.stderr == ""
+        assert out.returncode == 1
