@@ -204,7 +204,7 @@ def solve_with_fallback(
     cache:
         Optional :class:`~repro.perf.cache.SolverCache` (or its root
         directory).  A verified exact certificate for this instance — or
-        any isomorphic one, via the symmetry-aware keys — returns
+        its axis-rotated torus or mesh twin, via the full-set keys — returns
         immediately as tier 0; otherwise cached profiles short-circuit
         tier 1, any cached witness warm-starts tier 3, and the resulting
         certificate is stored for future runs.  ``None`` disables caching
@@ -276,8 +276,8 @@ def _run_cascade(
     upper_ev = f"tier-5 trivial ceiling (cutting every edge; {WITNESS_FREE_TOKEN})"
     witness = None
 
-    # Tier 0: the symmetry-aware result cache.  A verified exact hit (for
-    # this instance or any isomorphic one) closes the interval without
+    # Tier 0: the result cache.  A verified exact hit (for this instance
+    # or its axis-rotated twin) closes the interval without
     # running a single solver; short of that, a stored witness becomes the
     # tier-3 warm start.  Every hit is re-validated by the *independent*
     # checker (repro.verify) before it is trusted — the cache's own

@@ -51,6 +51,7 @@ from ..obs import (
     annotate,
     gauge,
     incr,
+    load_timeline,
     merge_shards,
     new_run_id,
     trace,
@@ -138,6 +139,25 @@ def merge_to_profile(
     return CutProfile(net, counted, best, best_mask, covered == total)
 
 
+def _kept_telemetry(tele_dir: Path) -> dict | None:
+    """Pointer block of the fleet timeline already in ``tele_dir``, if any."""
+    path = tele_dir / "timeline.json"
+    try:
+        timeline = load_timeline(path)
+    except ValueError:
+        return None
+    run_id = timeline.get("run_id")
+    names = timeline.get("shard_files")
+    if not isinstance(run_id, str) or not isinstance(names, list):
+        return None
+    return {
+        "run_id": run_id,
+        "dir": str(tele_dir),
+        "shard_files": [str(tele_dir / str(name)) for name in names],
+        "timeline": str(path),
+    }
+
+
 def distributed_cut_profile(
     net: Network,
     counted: np.ndarray | None = None,
@@ -190,7 +210,9 @@ def distributed_cut_profile(
         merged into ``timeline.json`` — span tree, summed counters,
         critical path.  The pointer block lands in ``status`` and in the
         ambient collector's ``telemetry`` note, so a traced CLI run's
-        timeline names every artifact.
+        timeline names every artifact.  On a state that is already
+        settled nothing is swept, so nothing in the directory is
+        written; the pointer names the timeline already there, if any.
     """
     if counted is None:
         counted = np.arange(net.num_nodes, dtype=np.int64)
@@ -204,6 +226,9 @@ def distributed_cut_profile(
     )
     coord.ensure(ranges)
     gauge("dist.shards_total", len(ranges))
+    # A settled state starts no worker and claims no shard: the run only
+    # re-certifies the sweep, and leaves the sweep's telemetry as it was.
+    settled = coord.settled()
 
     edges = net.edges
     remaining = None if budget is None else budget.remaining()
@@ -215,12 +240,11 @@ def distributed_cut_profile(
     # anchor: workers inherit ``(run_id, that span's id)`` as their
     # TraceContext, so the merger re-parents every worker's claims under
     # one root — one fleet, one tree.
-    tele_dir: Path | None = None
+    tele_dir = None if telemetry is None else Path(telemetry)
     parent_tele: ShardCollector | None = None
     root_span = None
     wire: dict | None = None
-    if telemetry is not None:
-        tele_dir = Path(telemetry)
+    if tele_dir is not None and not settled:
         parent_tele = ShardCollector(
             tele_dir / "parent.jsonl",
             context=TraceContext(new_run_id()),
@@ -244,7 +268,7 @@ def distributed_cut_profile(
                 ).to_wire(),
             }
             parent_tele.flush()
-        if ranges and not coord.settled():
+        if ranges and not settled:
             for i in range(max(1, int(workers))):
                 p = multiprocessing.Process(
                     target=worker_main,
@@ -365,6 +389,9 @@ def distributed_cut_profile(
             "shard_files": [str(p) for p in shard_files],
             "timeline": str(timeline_path),
         }
+    elif tele_dir is not None:
+        telemetry_info = _kept_telemetry(tele_dir)
+    if telemetry_info is not None:
         # Lands in the ambient collector (if any), so a traced CLI run's
         # timeline header points at the shard files and merged timeline.
         annotate("telemetry", telemetry_info)

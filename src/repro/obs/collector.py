@@ -93,14 +93,22 @@ class Collector:
         Monotonic time source used for span durations; injectable so tests
         can drive timing deterministically.  Defaults to
         ``time.perf_counter``.
+    keep_spans:
+        Whether finished span records are kept.  A long-running server
+        that only exports counters and gauges passes ``False``, so its
+        memory does not grow with the requests it serves; spans still
+        nest and open spans are still tracked.
     """
 
     def __init__(
         self,
         # repro-lint: disable=RL007 -- this IS the obs clock; spans are built on it
         clock: Callable[[], float] = time.perf_counter,
+        *,
+        keep_spans: bool = True,
     ) -> None:
         self._clock = clock
+        self.keep_spans = keep_spans
         self._t0 = clock()
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
@@ -161,7 +169,8 @@ class Collector:
         }
         with self._lock:
             self._open.pop(span.id, None)
-            self._spans.append(record)
+            if self.keep_spans:
+                self._spans.append(record)
 
     # -- counters / gauges / notes --------------------------------------
 

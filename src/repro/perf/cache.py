@@ -1,10 +1,10 @@
-"""Atomic, symmetry-aware on-disk memoization of solver results.
+"""Atomic on-disk memoization of solver results.
 
-The cache persists two result kinds across runs, keyed by the canonical
-fingerprints of :mod:`repro.perf.canonical` so that isomorphic instances
-(Lemmas 2.1/2.2) share entries:
+The cache persists two result kinds across runs, keyed by the full-set
+fingerprints of :mod:`repro.perf.canonical`, so identical instances and
+axis-rotated tori and meshes share entries:
 
-* **cut profiles** — the full :class:`~repro.cuts.enumerate_exact.CutProfile`
+* **cut profiles** — the full-set :class:`~repro.cuts.enumerate_exact.CutProfile`
   of an exhaustive sweep (values + witness masks, canonical coordinates),
   stored as ``.npz`` payloads;
 * **certificates** — :class:`~repro.core.results.BoundCertificate` field
@@ -163,15 +163,20 @@ class SolverCache:
         solver: str = PROFILE_SOLVER,
         version: int | str = 1,
     ) -> bool:
-        """Store a **complete** profile; incomplete ones are refused.
+        """Store a **complete** full-set profile; any other is refused.
 
         A partial profile's entries are upper bounds tied to the budget
         that truncated it; persisting them would let a later, richer run
-        mistake them for exact minima.
+        mistake them for exact minima.  A profile over a counted subset
+        ``U`` is refused too: the key names the network with every node
+        counted, so storing it would serve a U-profile as the full one.
         """
-        if not profile.complete:
+        n = net.num_nodes
+        if not profile.complete or not np.array_equal(
+            np.sort(np.asarray(profile.counted)), np.arange(n)
+        ):
             return False
-        canon = canonical_form(net, profile.counted)
+        canon = canonical_form(net)
         key = _entry_key(solver, version, canon)
         masks = [
             permute_mask(int(m), canon.perm) for m in profile.witnesses
@@ -191,23 +196,21 @@ class SolverCache:
     def get_profile(
         self,
         net: Network,
-        counted: np.ndarray | None = None,
         *,
         solver: str = PROFILE_SOLVER,
         version: int | str = 1,
     ) -> CutProfile | None:
-        """Load and re-verify a profile for this instance (or ``None``).
+        """Load and re-verify the full-set profile of this instance (or ``None``).
 
         The stored witnesses live in canonical coordinates; they are
-        rehydrated through *this* instance's canonicalizing automorphism,
-        so hits work across isomorphic instances, then each witness is
-        checked against the live network before anything is returned.
+        rehydrated through *this* instance's canonicalizing perm, so an
+        axis-rotated torus or mesh hits its twin's entry, then each
+        witness is checked against the live network before anything is
+        returned.
         """
         n = net.num_nodes
-        if counted is None:
-            counted = np.arange(n, dtype=np.int64)
-        counted = np.unique(np.asarray(counted, dtype=np.int64))
-        canon = canonical_form(net, counted)
+        counted = np.arange(n, dtype=np.int64)
+        canon = canonical_form(net)
         key = _entry_key(solver, version, canon)
         try:
             with np.load(self._payload_path(key)) as payload:
@@ -217,11 +220,10 @@ class SolverCache:
         except (OSError, ValueError, KeyError, zipfile.BadZipFile):
             incr("perf.cache.miss")
             return None
-        m = len(counted)
         if (
             stored_key != key
-            or values.shape != (m + 1,)
-            or len(witness_hex) != m + 1
+            or values.shape != (n + 1,)
+            or len(witness_hex) != n + 1
         ):
             incr("perf.cache.miss")
             return None
@@ -233,11 +235,9 @@ class SolverCache:
         # Verify every witness against the live network: the right count
         # on the counted side and exactly the stored capacity.  Any
         # mismatch means corruption or a key collision — treat as a miss.
-        counted_in = np.zeros(n, dtype=bool)
-        counted_in[counted] = True
         for c, mask in enumerate(masks):
             side = mask_to_side(mask, n)
-            if int(side[counted_in].sum()) != c or net.cut_capacity(side) != int(values[c]):
+            if int(side.sum()) != c or net.cut_capacity(side) != int(values[c]):
                 incr("perf.cache.miss")
                 return None
         incr("perf.cache.hit")

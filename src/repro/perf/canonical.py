@@ -1,37 +1,27 @@
-"""Canonical instance fingerprints via the paper's automorphisms (L2.1/L2.2).
+"""Canonical instance fingerprints: the solver cache's keys.
 
-A solver cache is only as good as its keys.  Keying on the raw edge array
+A cache key names a whole network, every node counted, so the key is
+purely structural.  Keying on the raw edge array
 (:attr:`repro.topology.base.Network.edge_digest`) already deduplicates
-*identical* instances, but the paper proves much more: Lemma 2.1 gives the
-level-reversal automorphism of ``Bn`` and Lemma 2.2 the cascading-XOR
-level-preserving group, so whole families of ``(network, counted-set)``
-instances are isomorphic copies of one another and share every cut
-quantity.  This module quotients cache keys through those groups:
+*identical* instances; the named families key on their parameters
+instead, and the torus and mesh keys are also quotiented through axis
+order: ``Torus(4, 3)`` and ``Torus(3, 4)`` are the same product with
+the axes listed in another order, so both key under the sorted shape
+and share one entry.
 
-* the **key** of an instance is invariant under applying any candidate
-  automorphism to the counted set, so isomorphic instances collide in the
-  cache (that is the point);
-* the accompanying **perm** is the automorphism that maps the instance
-  onto its canonical representative.  Cached witness masks are stored in
-  canonical coordinates (``canonical bit perm[v] = instance bit v``) and
+* the **key** of an instance is equal across the instances that share
+  an entry (that is the point);
+* the accompanying **perm** maps the instance onto its canonical
+  representative.  Cached witness masks are stored in canonical
+  coordinates (``canonical bit perm[v] = instance bit v``) and
   rehydrated through the loading instance's own perm, so a witness
-  computed for one instance is a *valid, capacity-identical* cut for
-  every isomorphic sibling.
+  computed for ``Torus(3, 4)`` is a *valid, capacity-identical* cut of
+  ``Torus(4, 3)``.  The perm is the axis transpose for an unsorted
+  torus or mesh shape and the identity otherwise.
 
-Soundness never depends on completeness: every candidate is a genuine
-automorphism (capacities and counted sizes are preserved exactly), so a
-missed identification only costs a cache miss, never a wrong answer.  The
-candidate sets are therefore tiered by size — the full cascade-and-
-reversal group (order ``2 n^2``) for small ``Bn``, the column-XOR coset
-(order ``2 n``) beyond that, and the identity once even that is too
-large — keeping canonicalization cost negligible next to any solve.
-The product families get the same treatment from their own groups:
-coordinate translations for tori and flattened butterflies, axis
-reflections for meshes, and the subtree-swapping XOR path-word group for
-fat trees — with torus and mesh keys additionally quotiented through
-axis order (``Torus(4, 3)`` and ``Torus(3, 4)`` are the same product in
-a different order and share one key, witnesses transported through the
-transpose).  Networks without a recognized symmetry family fall back to the raw
+Soundness never depends on completeness: the transpose is a genuine
+isomorphism, so a missed identification only costs a cache miss, never
+a wrong answer.  Networks without a named family fall back to the raw
 :attr:`~repro.topology.base.Network.edge_digest`, which is always sound.
 """
 
@@ -39,20 +29,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from ..topology.automorphism import (
-    cascade_xor_permutation,
-    column_xor_permutation,
-    level_reversal_permutation,
-    level_rotation_permutation,
-)
 from ..topology.base import Network
 from ..topology.butterfly import Butterfly
 from ..topology.fabric import FatTree
-from ..topology.product import CartesianProduct, FlattenedButterfly, Mesh, Torus
+from ..topology.product import FlattenedButterfly, Mesh, Torus
 
 __all__ = [
     "CanonicalForm",
@@ -63,32 +46,27 @@ __all__ = [
     "side_to_mask",
 ]
 
-#: Cap on the number of candidate automorphisms examined per instance.
-#: Beyond it the group is tiered down (still sound: see module docstring).
-_MAX_CANDIDATES = 4096
-
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """A symmetry-quotiented identity for a ``(network, counted)`` instance.
+    """A structural identity for a network, every node counted.
 
     Attributes
     ----------
     key:
-        The canonical fingerprint; equal across isomorphic instances
-        (within the examined candidate group).  Safe as a file-name stem
-        component after hashing.
+        The canonical fingerprint; equal across the instances that share
+        a cache entry.  Safe as a file-name stem component after hashing.
     perm:
-        The canonicalizing automorphism: node ``v`` of the instance maps
+        The canonicalizing isomorphism: node ``v`` of the instance maps
         to node ``perm[v]`` of the canonical representative.  Apply with
         :func:`permute_mask`, invert with :func:`unpermute_mask`.
     family:
         ``"butterfly"``, ``"wrapped"``, ``"torus"``, ``"mesh"``,
-        ``"fbfly"``, ``"fattree"`` or ``"network"`` — which symmetry
-        group produced the key.
+        ``"fbfly"``, ``"fattree"`` or ``"network"`` — which family
+        produced the key.
     group_size:
-        Number of candidate automorphisms examined (1 means no symmetry
-        reduction beyond the raw digest).
+        Number of candidate automorphisms examined; always 1, since the
+        full node set is fixed by every automorphism.
     """
 
     key: str
@@ -130,57 +108,10 @@ def unpermute_mask(mask: int, perm: np.ndarray) -> int:
     return out
 
 
-def _counted_digest(num_nodes: int, counted: np.ndarray) -> str:
-    ind = np.zeros(num_nodes, dtype=np.uint8)
-    ind[counted] = 1
+def _full_set_digest(num_nodes: int) -> str:
+    """Digest of the all-nodes indicator, the generic key's counted-set part."""
+    ind = np.ones(num_nodes, dtype=np.uint8)
     return hashlib.sha256(np.packbits(ind).tobytes()).hexdigest()[:16]
-
-
-def _butterfly_candidates(bf: Butterfly) -> list[np.ndarray]:
-    """The tiered candidate automorphism group of ``Bn`` or ``Wn``.
-
-    Every returned permutation is a true automorphism, and each tier is a
-    *group* (closed under composition and inverse), which is what makes
-    key collisions complete within the tier: if ``g`` in the tier maps
-    instance A onto instance B, then A and B range over the same candidate
-    orbit and minimize to the same canonical form.
-    """
-    n, lg = bf.n, bf.lg
-    if not bf.wraparound:
-        # L2.2 cascades (order n * 2^lg = n^2) + L2.1 reversal coset.
-        if 2 * n * (1 << lg) <= _MAX_CANDIDATES:
-            rev = level_reversal_permutation(bf)
-            perms = []
-            for base in range(n):
-                for flips in product((False, True), repeat=lg):
-                    p = cascade_xor_permutation(bf, base, flips)
-                    perms.append(p)
-                    perms.append(rev[p])  # rev ∘ p
-            return perms
-        if 2 * n <= _MAX_CANDIDATES:
-            # Column XORs + reversal coset: still a group (reversal
-            # conjugates xor_c to xor_{bit-reverse(c)}).
-            rev = level_reversal_permutation(bf)
-            perms = []
-            for c in range(n):
-                p = column_xor_permutation(bf, c)
-                perms.append(p)
-                perms.append(rev[p])
-            return perms
-        return [np.arange(bf.num_nodes, dtype=np.int64)]
-    # Wn: column XORs and level rotations (rotation conjugates xor_c to
-    # xor_{rol(c)}, so the set {xor_c ∘ rot^s} is a group of order n·lg).
-    if n * lg <= _MAX_CANDIDATES:
-        rots = [level_rotation_permutation(bf, s) for s in range(lg)]
-        perms = []
-        for c in range(n):
-            xorp = column_xor_permutation(bf, c)
-            for rot in rots:
-                perms.append(xorp[rot])  # xor_c ∘ rot^s
-        return perms
-    if n <= _MAX_CANDIDATES:
-        return [column_xor_permutation(bf, c) for c in range(n)]
-    return [np.arange(bf.num_nodes, dtype=np.int64)]
 
 
 def _axis_normalization(shape: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
@@ -191,9 +122,7 @@ def _axis_normalization(shape: tuple[int, ...]) -> tuple[tuple[int, ...], np.nda
     sorted sides — ``Torus(4, 3)`` is a relabeled ``Torus(3, 4)``.
     Returns the sorted shape and the transposing permutation (instance
     node ``v`` maps to node ``perm[v]`` of the sorted-shape twin), the
-    identity when the shape is already sorted.  Composing this base perm
-    into every candidate makes axis-rotated instances collide on one key
-    with witnesses that transport correctly between them.
+    identity when the shape is already sorted.
     """
     order = tuple(int(i) for i in np.argsort(np.asarray(shape), kind="stable"))
     n_total = int(np.prod(shape, dtype=np.int64))
@@ -208,141 +137,29 @@ def _axis_normalization(shape: tuple[int, ...]) -> tuple[tuple[int, ...], np.nda
     return canon_shape, perm
 
 
-def _translation_candidates(shape: tuple[int, ...]) -> list[np.ndarray]:
-    """The coordinate-translation group of a torus / Hamming product.
+def canonical_form(net: Network) -> CanonicalForm:
+    """Canonical fingerprint of ``net`` with every node counted.
 
-    Cyclic shifts along every axis are automorphisms of products of cycles
-    (all edges are ±1 steps) *and* of products of complete graphs (any
-    relabeling of a factor is); the shifts form an abelian group of order
-    ``prod(shape)``.  Tiered to the identity beyond the candidate cap.
-    """
-    n_total = int(np.prod(shape, dtype=np.int64))
-    if n_total > _MAX_CANDIDATES:
-        return [np.arange(n_total, dtype=np.int64)]
-    grid = np.arange(n_total, dtype=np.int64).reshape(shape)
-    axes = tuple(range(len(shape)))
-    perms = []
-    for shift in product(*(range(s) for s in shape)):
-        # perm[c] = index(c + shift), i.e. grid rolled backwards.
-        perms.append(
-            np.roll(grid, tuple(-s for s in shift), axis=axes).ravel()
-        )
-    return perms
-
-
-def _reflection_candidates(shape: tuple[int, ...]) -> list[np.ndarray]:
-    """The axis-reflection group of a mesh (product of paths).
-
-    Reversing any subset of the axes is an automorphism of a product of
-    paths; the reflections form an abelian group of order ``2^d``.
-    """
-    n_total = int(np.prod(shape, dtype=np.int64))
-    if (1 << len(shape)) > _MAX_CANDIDATES:
-        return [np.arange(n_total, dtype=np.int64)]
-    grid = np.arange(n_total, dtype=np.int64).reshape(shape)
-    perms = []
-    for flips in product((False, True), repeat=len(shape)):
-        axes = tuple(k for k, f in enumerate(flips) if f)
-        perms.append((np.flip(grid, axis=axes) if axes else grid).ravel())
-    return perms
-
-
-def _fat_tree_candidates(ft: FatTree) -> list[np.ndarray]:
-    """The XOR path-word group of the fat tree.
-
-    A mask ``m`` of ``d`` bits maps the depth-``k`` node at in-level
-    position ``p`` to position ``p ^ (m >> (d - k))``: each bit of ``m``
-    swaps the two subtrees below one root-to-leaf branching level, so
-    children stay children and per-level edge multiplicities are
-    untouched.  Masks compose by XOR — an abelian group of order ``2^d``.
-    """
-    d = ft.depth
-    if (1 << d) > _MAX_CANDIDATES:
-        return [np.arange(ft.num_nodes, dtype=np.int64)]
-    perms = []
-    for m in range(1 << d):
-        perm = np.empty(ft.num_nodes, dtype=np.int64)
-        for k in range(d + 1):
-            p = np.arange(1 << k, dtype=np.int64)
-            perm[ft.level(k)] = ((1 << k) - 1) + (p ^ (m >> (d - k)))
-        perms.append(perm)
-    return perms
-
-
-def _minimize_counted(
-    num_nodes: int, counted: np.ndarray, perms: list[np.ndarray]
-) -> tuple[bytes, np.ndarray]:
-    """Pick the automorphism whose image of ``counted`` packs smallest."""
-    best_bytes: bytes | None = None
-    best_perm = perms[0]
-    out = np.zeros(num_nodes, dtype=np.uint8)
-    for p in perms:
-        out[:] = 0
-        out[p[counted]] = 1
-        b = np.packbits(out).tobytes()
-        if best_bytes is None or b < best_bytes:
-            best_bytes, best_perm = b, p
-    assert best_bytes is not None
-    return best_bytes, best_perm
-
-
-def canonical_form(net: Network, counted: np.ndarray | None = None) -> CanonicalForm:
-    """Canonical fingerprint of a ``(network, counted-set)`` instance.
-
-    For butterflies the key is quotiented through the L2.1/L2.2 candidate
-    group described in the module docstring; for any other network it is
-    the raw edge digest plus a counted-set digest with the identity perm.
-    The counted set defaults to all nodes, in which case every
-    automorphism fixes it and the key is purely structural.
+    A named family keys on its parameters (``bf:b8:full``,
+    ``torus:3x4:full``), a torus or mesh on its sorted shape with the
+    transposing perm; any other network keys on its raw edge digest with
+    the identity perm.
     """
     n = net.num_nodes
-    identity = np.arange(n, dtype=np.int64)
-    if counted is None:
-        counted = identity
-    counted = np.unique(np.asarray(counted, dtype=np.int64))
-
+    perm = np.arange(n, dtype=np.int64)
     if isinstance(net, Butterfly):
         family = "wrapped" if net.wraparound else "butterfly"
         stem = f"bf:{'w' if net.wraparound else 'b'}{net.n}"
-        if len(counted) == n:
-            # Automorphisms permute the full node set onto itself, so the
-            # identity is always among the minimizers: take it for free.
-            return CanonicalForm(f"{stem}:full", identity, family, 1)
-        perms = _butterfly_candidates(net)
-        packed, perm = _minimize_counted(n, counted, perms)
-        digest = hashlib.sha256(packed).hexdigest()[:16]
-        return CanonicalForm(f"{stem}:c{digest}", perm, family, len(perms))
-
-    fabric: tuple[str, str, list[np.ndarray], np.ndarray] | None = None
-    if isinstance(net, Torus):
-        canon_shape, base = _axis_normalization(net.shape)
-        sides = "x".join(str(s) for s in canon_shape)
-        cands = [t[base] for t in _translation_candidates(canon_shape)]
-        fabric = ("torus", f"torus:{sides}", cands, base)
-    elif isinstance(net, Mesh):
-        canon_shape, base = _axis_normalization(net.shape)
-        sides = "x".join(str(s) for s in canon_shape)
-        cands = [r[base] for r in _reflection_candidates(canon_shape)]
-        fabric = ("mesh", f"mesh:{sides}", cands, base)
+    elif isinstance(net, (Torus, Mesh)):
+        family = "torus" if isinstance(net, Torus) else "mesh"
+        canon_shape, perm = _axis_normalization(net.shape)
+        stem = f"{family}:{'x'.join(str(s) for s in canon_shape)}"
     elif isinstance(net, FlattenedButterfly):
         # All factors share one arity: the shape is already sorted.
-        fabric = (
-            "fbfly",
-            f"fbfly:{net.ary}d{net.dims}",
-            _translation_candidates(net.shape),
-            identity,
-        )
+        family, stem = "fbfly", f"fbfly:{net.ary}d{net.dims}"
     elif isinstance(net, FatTree):
-        fabric = ("fattree", f"ft:{net.depth}", _fat_tree_candidates(net), identity)
-    if fabric is not None:
-        family, stem, perms, base = fabric
-        if len(counted) == n:
-            # Every candidate fixes the full node set, so the cheapest
-            # candidate — the bare axis normalization — minimizes for free.
-            return CanonicalForm(f"{stem}:full", base, family, 1)
-        packed, perm = _minimize_counted(n, counted, perms)
-        digest = hashlib.sha256(packed).hexdigest()[:16]
-        return CanonicalForm(f"{stem}:c{digest}", perm, family, len(perms))
-
-    key = f"net:{net.edge_digest[:16]}:c{_counted_digest(n, counted)}"
-    return CanonicalForm(key, identity, "network", 1)
+        family, stem = "fattree", f"ft:{net.depth}"
+    else:
+        key = f"net:{net.edge_digest[:16]}:c{_full_set_digest(n)}"
+        return CanonicalForm(key, perm, "network", 1)
+    return CanonicalForm(f"{stem}:full", perm, family, 1)

@@ -2,10 +2,11 @@
 
 The serving layer turns the repo's solve pipeline into a concurrent
 API: an asyncio HTTP front end (:mod:`repro.serve.server`) accepts
-network specs, a dedup-aware job queue (:mod:`repro.serve.queue`)
-collapses isomorphic requests onto one solve through the canonical
-fingerprints of :mod:`repro.perf.canonical`, and the queue's drain
-thread runs the degradation cascade under per-request budgets — so the
+network specs, a job queue (:mod:`repro.serve.queue`) attaches a
+request to an identical one in flight, and the queue's drain thread
+runs the degradation cascade one job at a time under per-request
+budgets, against a shared solver cache whose full-set keys
+(:mod:`repro.perf.canonical`) serve an axis-rotated twin from tier 0 — so the
 answer is always a *certificate* (checkable by ``repro-butterfly
 verify``), never a timeout error.  Telemetry rides the fleet-tracing
 stack of :mod:`repro.obs.telemetry`: live OpenMetrics at ``/metrics``,

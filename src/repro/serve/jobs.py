@@ -11,9 +11,8 @@ certificate files use, so a drifted or malformed spec is rejected at the
 door (HTTP 400) instead of surfacing as a solver error.
 
 :func:`solve_job` is the unit of work the queue's drain thread runs,
-exception-free by contract (an escaped exception would fail every job
-of its batch), returning either a ready-to-serialize certificate dict
-or an ``{"error": ...}`` record.
+one job at a time, exception-free by contract, returning either a
+ready-to-serialize certificate dict or an ``{"error": ...}`` record.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ class Job:
     """
 
     id: str
-    key: str  # canonical fingerprint (dedup identity across isomorphs)
+    key: str  # canonical fingerprint, served as ``fingerprint``
     digest: str  # raw edge digest (exact-instance identity)
     # Dropped once the job settles: a long-running server keeps every
     # settled job, and a done job's certificate embeds the same spec.

@@ -1,35 +1,33 @@
-"""The serving job queue: canonical-fingerprint dedup ahead of one drain thread.
+"""The serving job queue: in-flight dedup ahead of one drain thread.
 
-Two layers of deduplication turn a zipfian request mix into roughly one
-solve per automorphism orbit:
+A request whose raw edge digest matches a job already in flight
+**attaches** to that job (same id, one more client) and pays nothing.
+Any other request gets its own job, even one isomorphic to a job in
+flight (``Torus(4, 3)`` behind ``Torus(3, 4)``): its certificate embeds
+its own network spec.  Isomorphic work is shared in one place, the
+full-set key of the shared :class:`~repro.perf.cache.SolverCache`; the
+drain thread solves one job at a time, so a job queued behind its twin
+meets the cache the twin just warmed and resolves as a tier-0 hit with
+a transported witness.
 
-* **attach** — a request whose raw edge digest matches a job already in
-  flight joins that job (same id, one more client) and pays nothing;
-* **hold back** — a request that is merely *isomorphic* to an in-flight
-  job (same canonical fingerprint, different digest) needs its own
-  certificate (the embedded network spec differs), so it gets its own
-  job — but the drain loop admits only one job per fingerprint into
-  each batch and holds the rest for the next one, by which time the
-  first solve has warmed the shared :class:`~repro.perf.cache.SolverCache`
-  and the held job resolves as a tier-0 hit with a transported witness.
-
-The drain thread solves each admitted job in turn with
-:func:`~repro.serve.jobs.solve_job`, so spans and counters land on the
-server's collector; when that collector journals to a telemetry shard,
-it is flushed after every job.  Each job carries the *remaining* budget
-at execution time: deadlines are fixed at submission, so time spent
-queued is spent budget, and a request that expires mid-queue still
-returns the certified tier-5 interval rather than an error.
+The drain thread takes the oldest pending job, solves it with
+:func:`~repro.serve.jobs.solve_job` (so spans and counters land on the
+server's collector), flushes that collector when it journals to a
+telemetry shard, and settles the job before taking the next one.  Each
+job gets the budget that *remains* when its own solve starts: deadlines
+are fixed at submission, so time spent queued is spent budget, and a
+request that expires mid-queue still returns the certified tier-5
+interval rather than an error.
 
 Obs surface: ``serve.requests`` / ``serve.dedup_hits`` /
-``serve.orbit_deferrals`` / ``serve.solves`` counters and the
-``serve.queue_depth`` gauge.
+``serve.solves`` counters and the ``serve.queue_depth`` gauge.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from typing import Any
 
 from ..obs import ShardCollector, current, gauge, incr
@@ -59,7 +57,7 @@ class JobQueue:
         self._clock = clock
         self._cache_dir = None if cache_dir is None else str(cache_dir)
         self._jobs: dict[str, Job] = {}
-        self._pending: list[Job] = []
+        self._pending: deque[Job] = deque()
         self._inflight: dict[str, str] = {}  # edge digest -> live job id
         self._seq = 0
         self._thread: threading.Thread | None = None
@@ -150,82 +148,53 @@ class JobQueue:
 
     def _drain(self) -> None:
         while True:
-            batch = self._next_batch()
-            if batch is None:
+            job = self._next_job()
+            if job is None:
                 return
-            try:
-                self._execute(batch)
-            except Exception as exc:  # noqa: BLE001 - the drain thread must survive
-                self._settle_failed(batch, f"{type(exc).__name__}: {exc}")
+            self._run(job)
 
-    def _next_batch(self) -> list[Job] | None:
-        """Claim one job per canonical fingerprint; hold isomorphs back."""
+    def _next_job(self) -> Job | None:
+        """Claim the oldest pending job; ``None`` once closed and drained."""
         with self._cond:
             while not self._pending and not self._closed:
                 self._cond.wait()
             if not self._pending:
-                return None  # closed and fully drained
-            batch: list[Job] = []
-            keys: set[str] = set()
-            held: list[Job] = []
-            for job in self._pending:
-                if job.key in keys:
-                    held.append(job)
-                    incr("serve.orbit_deferrals")
-                else:
-                    keys.add(job.key)
-                    batch.append(job)
-            self._pending = held
-            now = self._clock()
-            for job in batch:
-                job.state = RUNNING
-                job.started = now
+                return None
+            job = self._pending.popleft()
+            job.state = RUNNING
+            job.started = self._clock()
             gauge("serve.queue_depth", len(self._pending))
-            return batch
+            return job
 
-    def _execute(self, batch: list[Job]) -> None:
-        now = self._clock()
-        incr("serve.solves", len(batch))
-        col = current()
-        results = []
-        for job in batch:
-            remaining = None
-            if job.deadline is not None:
-                remaining = max(0.0, job.deadline - now)
-            results.append(solve_job({
+    def _run(self, job: Job) -> None:
+        """Solve one claimed job on what remains of its budget, then settle it."""
+        remaining = None
+        if job.deadline is not None:
+            remaining = max(0.0, job.deadline - job.started)
+        incr("serve.solves")
+        try:
+            res = solve_job({
                 "spec": job.spec,
                 "cache": self._cache_dir,
                 "budget_seconds": remaining,
-            }))
+            })
+            col = current()
             if isinstance(col, ShardCollector):
-                # Journal after every job, before it settles: a killed
-                # server's shard still holds every job a client saw done.
+                # Journal before the job settles: a killed server's shard
+                # still holds every job a client saw done.
                 col.flush()
-        finished = self._clock()
+        except Exception as exc:  # noqa: BLE001 - the drain thread must survive
+            res = {"error": f"{type(exc).__name__}: {exc}"}
         with self._cond:
-            for job, res in zip(batch, results):
-                job.finished = finished
-                job.spec = None
-                if isinstance(res, dict) and "certificate" in res:
-                    job.state = DONE
-                    job.certificate = res["certificate"]
-                    job.tier = res.get("tier")
-                    job.exact = res.get("exact")
-                else:
-                    job.state = FAILED
-                    if isinstance(res, dict):
-                        job.error = str(res.get("error", "solver returned no result"))
-                    else:
-                        job.error = "solver returned no result"
-                self._inflight.pop(job.digest, None)
-            self._cond.notify_all()
-
-    def _settle_failed(self, batch: list[Job], message: str) -> None:
-        with self._cond:
-            for job in batch:
-                if job.state == RUNNING:
-                    job.state = FAILED
-                    job.error = message
-                    job.spec = None
-                self._inflight.pop(job.digest, None)
+            job.finished = self._clock()
+            job.spec = None
+            if "certificate" in res:
+                job.state = DONE
+                job.certificate = res["certificate"]
+                job.tier = res.get("tier")
+                job.exact = res.get("exact")
+            else:
+                job.state = FAILED
+                job.error = str(res.get("error", "solver returned no result"))
+            self._inflight.pop(job.digest, None)
             self._cond.notify_all()

@@ -16,7 +16,8 @@ library.  Routes:
 * ``GET /healthz`` — liveness.
 
 The server owns the process-global obs collector for its lifetime: a
-plain in-memory :class:`~repro.obs.Collector`, or — when a telemetry
+plain in-memory :class:`~repro.obs.Collector` that keeps counters and
+gauges but no finished spans, or — when a telemetry
 directory is configured — a journaling
 :class:`~repro.obs.telemetry.ShardCollector` whose ``server.jsonl``
 shard the drain thread flushes after every job and which merges into
@@ -127,7 +128,9 @@ class ServeServer:
                 worker="parent",
             )
         else:
-            self.collector = Collector()
+            # Nothing reads this collector's finished spans, and a
+            # long-running server would keep every one.
+            self.collector = Collector(keep_spans=False)
         self._prev_collector = activate(self.collector)
         self._anchor = self.collector.span("serve.run", {"host": self.host})
         self._anchor.__enter__()
@@ -333,11 +336,12 @@ class ServeServer:
     def _get_metrics(self) -> tuple[int, bytes, str]:
         col = self.collector
         assert col is not None
-        doc = {
+        doc: dict[str, Any] = {
             "run_id": self.run_id,
             "counters": col.counters,
             "gauges": col.gauges,
-            "spans": col.spans,
         }
+        if col.keep_spans:
+            doc["spans"] = col.spans
         text = "\n".join(openmetrics_lines(doc)) + "\n"
         return 200, text.encode("utf-8"), _OPENMETRICS

@@ -153,7 +153,8 @@ class Network:
         rewired network can never silently reuse another's persisted state.
         The digest is insensitive to edge *construction order* (rows are
         lexicographically sorted before hashing) but deliberately sensitive
-        to node relabeling: symmetry-aware keys are the job of
+        to node relabeling: keys shared across a relabeling (a torus or
+        mesh and its axis-rotated twin) are the job of
         :mod:`repro.perf.canonical`, not of this raw hash.
         """
         e = self._edges

@@ -6,8 +6,8 @@ enumeration (:func:`repro.cuts.cut_profile`), the layered min-plus DP
 (:func:`repro.cuts.bb_min_bisection`).  On every butterfly, wrapped
 butterfly and CCC instance with at most 16 nodes they must agree on the
 bisection width and each must produce a witness the others validate —
-with the symmetry-aware cache enabled and disabled, so a cache hit can
-never change an answer.
+with the solver cache enabled and disabled, so a cache hit can never
+change an answer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.cuts import (
     layered_cut_profile,
 )
 from repro.obs import collecting
-from repro.perf import SolverCache, cached_cut_profile
+from repro.perf import BATCH_CONTRACT_VERSION, SolverCache
 from repro.topology import butterfly, cube_connected_cycles, wrapped_butterfly
 
 #: Every supported family instance with <= 16 nodes.
@@ -71,13 +71,22 @@ class TestAgreement:
             assert instance.cut_capacity(cut.side) == width
 
 
+def _cached_profile(net, cache):
+    """Read through the cache the way the cascade's tier 1 does."""
+    prof = cache.get_profile(net, version=BATCH_CONTRACT_VERSION)
+    if prof is None:
+        prof = cut_profile(net)
+        assert cache.put_profile(net, prof, version=BATCH_CONTRACT_VERSION)
+    return prof
+
+
 class TestCacheTransparency:
     def test_cached_equals_uncached(self, instance, tmp_path):
         cache = SolverCache(tmp_path / "cache")
         plain = cut_profile(instance)
         with collecting() as col:
-            cold = cached_cut_profile(instance, cache=cache)
-            warm = cached_cut_profile(instance, cache=cache)
+            cold = _cached_profile(instance, cache)
+            warm = _cached_profile(instance, cache)
         assert col.counters["perf.cache.hit"] == 1
         for prof in (cold, warm):
             np.testing.assert_array_equal(prof.values, plain.values)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.cuts.enumerate_exact import cut_profile
 from repro.dist import distributed_cut_profile
-from repro.obs import load_timeline, merge_shards, validate_timeline
+from repro.obs import collecting, load_timeline, merge_shards, validate_timeline
 from repro.resilience import CrashSchedule
 from repro.topology.random_regular import random_regular_graph
 
@@ -104,6 +104,34 @@ class TestChaosTelemetry:
         assert dist.complete
         assert "telemetry" not in status
         assert not list(tmp_path.glob("**/*.jsonl"))
+        assert _no_leaked_children()
+
+
+class TestSettledRerun:
+    def test_rerun_on_a_settled_state_leaves_the_fleet_timeline(self, b4, tmp_path):
+        """Re-certifying a settled sweep starts no worker and claims no
+        shard, so the sweep's telemetry stays byte for byte as it was,
+        and the run still points at its timeline."""
+        state, tele = str(tmp_path / "st"), tmp_path / "tele"
+        first, again = {}, {}
+        distributed_cut_profile(
+            b4, state_dir=state, shards=4, workers=2, status=first,
+            telemetry=str(tele),
+        )
+        before = {p.name: p.read_bytes() for p in tele.iterdir()}
+        with collecting() as col:
+            dist = distributed_cut_profile(
+                b4, state_dir=state, shards=4, workers=2, status=again,
+                telemetry=str(tele),
+            )
+        assert dist.complete
+        assert again["workers_spawned"] == 0 and again["parent_takeovers"] == 0
+        assert {p.name: p.read_bytes() for p in tele.iterdir()} == before
+        kept = again["telemetry"]
+        assert kept["timeline"] == first["telemetry"]["timeline"]
+        assert kept["timeline"] == str(tele / "timeline.json")
+        assert kept["run_id"] == first["telemetry"]["run_id"]
+        assert col.notes["telemetry"] == kept
         assert _no_leaked_children()
 
 

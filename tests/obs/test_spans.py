@@ -54,6 +54,20 @@ class TestSpanTiming:
         (span,) = col.spans
         assert span["attrs"] == {"n": 3, "network": "B8"}
 
+    def test_collector_without_span_records(self):
+        """keep_spans=False: spans still nest, counters and gauges stay,
+        but no finished record is kept."""
+        col = Collector(clock=_fake_clock(), keep_spans=False)
+        with col.span("outer"):
+            with col.span("inner"):
+                (inner,) = [s for s in col.open_spans if s["name"] == "inner"]
+                assert inner["depth"] == 1
+            col.incr("served")
+            col.gauge("depth", 3)
+        assert col.spans == [] and col.open_spans == []
+        assert col.counters == {"served": 1} and col.gauges == {"depth": 3}
+        assert col.snapshot()["spans"] == []
+
     def test_span_closed_on_exception(self):
         col = Collector(clock=_fake_clock())
         try:

@@ -9,9 +9,8 @@ import numpy as np
 from repro.cuts import Cut, cut_profile, min_bisection
 from repro.cuts.enumerate_exact import CutProfile
 from repro.obs import collecting
-from repro.perf import (
-    SolverCache, cached_cut_profile, canonical_form, permute_mask, side_to_mask,
-)
+from repro.core.fallback import solve_with_fallback
+from repro.perf import SolverCache, canonical_form, permute_mask, side_to_mask
 from repro.topology import wrapped_butterfly
 
 
@@ -112,14 +111,25 @@ class TestProfilesPolicy:
         assert cache.put_profile(w4, partial) is False
         assert cache.stats()["profiles"] == 0
 
+    def test_counted_subset_profile_refused(self, w4, tmp_path):
+        """The profile key names the full node set; a U-profile stored
+        under it would later be served as the full profile."""
+        cache = SolverCache(tmp_path)
+        sub = cut_profile(w4, np.arange(w4.num_nodes - 1))
+        assert sub.complete
+        assert cache.put_profile(w4, sub) is False
+        assert list(tmp_path.rglob("*")) == []
+        assert cache.get_profile(w4) is None
+
 
 class TestCounters:
     def test_miss_store_hit_bypass(self, w4, tmp_path):
         cache = SolverCache(tmp_path)
         with collecting() as col:
-            cached_cut_profile(w4, cache=cache)  # miss + store
-            cached_cut_profile(w4, cache=cache)  # hit
-            cached_cut_profile(w4, cache=None)  # bypass
+            assert cache.get_profile(w4) is None  # miss
+            assert cache.put_profile(w4, cut_profile(w4))  # store
+            assert cache.get_profile(w4) is not None  # hit
+            solve_with_fallback(w4, cache=None)  # bypass
         assert col.counters["perf.cache.miss"] == 1
         assert col.counters["perf.cache.store"] == 1
         assert col.counters["perf.cache.hit"] == 1

@@ -1,10 +1,11 @@
-"""Seeded property tests for the symmetry-quotiented cache keys.
+"""Seeded property tests for the full-set cache keys.
 
-The canonical fingerprint of :mod:`repro.perf.canonical` must be
-*invariant* along the paper's automorphism orbits (Lemmas 2.1/2.2) and
-must *separate* instances that are not in the same orbit — otherwise the
-cache either misses isomorphic siblings or, far worse, conflates distinct
-instances.  Both directions are exercised here with seeded randomness.
+The canonical fingerprint of :mod:`repro.perf.canonical` names a network
+with every node counted.  It must be equal for the instances that share
+an entry (a torus or mesh and its axis-rotated twin) and must *separate*
+everything else — otherwise the cache either misses a twin or, far
+worse, conflates distinct instances.  Every key and perm is also pinned
+to the bytes earlier versions wrote, so caches filled by them still hit.
 """
 
 from __future__ import annotations
@@ -20,17 +21,26 @@ from repro.perf import (
     permute_mask,
     unpermute_mask,
 )
-from repro.perf.canonical import _butterfly_candidates
-from repro.topology import butterfly, wrapped_butterfly
+from repro.topology import (
+    Network,
+    butterfly,
+    fat_tree,
+    flattened_butterfly,
+    mesh,
+    torus,
+    wrapped_butterfly,
+)
 from repro.topology.automorphism import (
     cascade_xor_permutation,
-    column_xor_permutation,
-    is_automorphism,
     level_reversal_permutation,
-    level_rotation_permutation,
 )
 
 _TRIALS = 50
+
+#: A 16-node graph of no named family: a cycle with six chords.
+_G16_EDGES = [(i, (i + 1) % 16) for i in range(16)] + [
+    (i, i + 5) for i in range(0, 11, 2)
+]
 
 
 def _random_butterfly_automorphism(bf, rng):
@@ -43,35 +53,44 @@ def _random_butterfly_automorphism(bf, rng):
     return p
 
 
-def _random_wrapped_automorphism(wn, rng):
-    """A uniform sample from the column-XOR / level-rotation group of Wn."""
-    c = int(rng.integers(wn.n))
-    s = int(rng.integers(wn.lg))
-    return column_xor_permutation(wn, c)[level_rotation_permutation(wn, s)]
+class TestKeyPins:
+    """Keys and perms as the counted-set implementation computed them."""
+
+    KEYS = [
+        pytest.param(lambda: butterfly(4), "bf:b4:full", None, id="B4"),
+        pytest.param(lambda: wrapped_butterfly(4), "bf:w4:full", None, id="W4"),
+        pytest.param(lambda: butterfly(16), "bf:b16:full", None, id="B16"),
+        pytest.param(lambda: torus(3, 4), "torus:3x4:full", None, id="Torus3x4"),
+        pytest.param(
+            lambda: torus(4, 3), "torus:3x4:full",
+            [0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7, 11], id="Torus4x3",
+        ),
+        pytest.param(lambda: mesh(2, 4), "mesh:2x4:full", None, id="Mesh2x4"),
+        pytest.param(
+            lambda: mesh(3, 2), "mesh:2x3:full", [0, 3, 1, 4, 2, 5], id="Mesh3x2",
+        ),
+        pytest.param(
+            lambda: flattened_butterfly(2, 2), "fbfly:2d2:full", None, id="FBfly2d2",
+        ),
+        pytest.param(lambda: fat_tree(2), "ft:2:full", None, id="FatTree2"),
+        pytest.param(
+            lambda: Network(range(16), _G16_EDGES, name="G16"),
+            "net:2a41032950d6ee6f:cca2fd00fa0011907", None, id="G16",
+        ),
+    ]
+
+    @pytest.mark.parametrize(("build", "key", "perm"), KEYS)
+    def test_key_and_perm_are_pinned(self, build, key, perm):
+        net = build()
+        form = canonical_form(net)
+        assert form.key == key
+        want = list(range(net.num_nodes)) if perm is None else perm
+        assert form.perm.tolist() == want
+        assert form.group_size == 1
 
 
 class TestOrbitInvariance:
-    """Key equality along automorphism orbits (the cache-hit direction)."""
-
-    def test_butterfly_counted_sets(self, b8, rng):
-        counted = np.sort(rng.choice(b8.num_nodes, size=10, replace=False))
-        base = canonical_form(b8, counted)
-        for _ in range(_TRIALS):
-            g = _random_butterfly_automorphism(b8, rng)
-            assert is_automorphism(b8, g)
-            sibling = canonical_form(b8, g[counted])
-            assert sibling.key == base.key
-            assert sibling.family == "butterfly"
-
-    def test_wrapped_counted_sets(self, w8, rng):
-        counted = np.sort(rng.choice(w8.num_nodes, size=9, replace=False))
-        base = canonical_form(w8, counted)
-        for _ in range(_TRIALS):
-            g = _random_wrapped_automorphism(w8, rng)
-            assert is_automorphism(w8, g)
-            sibling = canonical_form(w8, g[counted])
-            assert sibling.key == base.key
-            assert sibling.family == "wrapped"
+    """Key equality across isomorphic instances (the cache-hit direction)."""
 
     def test_full_counted_set_is_structural(self, b8):
         form = canonical_form(b8)
@@ -79,43 +98,32 @@ class TestOrbitInvariance:
         assert form.group_size == 1
         np.testing.assert_array_equal(form.perm, np.arange(b8.num_nodes))
 
-    def test_perm_maps_instance_onto_canonical(self, b8, rng):
-        """Both orbit members land on the *same* canonical counted set."""
-        counted = np.sort(rng.choice(b8.num_nodes, size=10, replace=False))
-        g = _random_butterfly_automorphism(b8, rng)
-        a, b = canonical_form(b8, counted), canonical_form(b8, g[counted])
-        canon_a = np.sort(a.perm[counted])
-        canon_b = np.sort(b.perm[g[counted]])
-        np.testing.assert_array_equal(canon_a, canon_b)
+    def test_perm_maps_instance_onto_canonical(self):
+        """Both axis orders land on the *same* canonical edge set."""
+
+        def canonical_edges(net, perm):
+            mapped = perm[net.edges]
+            return sorted(map(tuple, np.sort(mapped, axis=1).tolist()))
+
+        for a, b in [(torus(3, 4), torus(4, 3)), (mesh(2, 3), mesh(3, 2)),
+                     (mesh(2, 3, 4), mesh(4, 2, 3))]:
+            fa, fb = canonical_form(a), canonical_form(b)
+            assert fa.key == fb.key
+            assert canonical_edges(a, fa.perm) == canonical_edges(b, fb.perm)
 
 
 class TestSeparation:
     """Non-isomorphic perturbations must get distinct keys."""
 
-    def test_100_random_non_orbit_counted_sets(self, b8, rng):
-        counted = np.sort(rng.choice(b8.num_nodes, size=10, replace=False))
-        base_key = canonical_form(b8, counted).key
-        orbit = {
-            tuple(np.sort(p[counted]))
-            for p in _butterfly_candidates(b8)
-        }
-        checked = 0
-        while checked < 100:
-            size = int(rng.integers(4, 14))
-            other = np.sort(rng.choice(b8.num_nodes, size=size, replace=False))
-            if tuple(other) in orbit:
-                continue
-            assert canonical_form(b8, other).key != base_key
-            checked += 1
-
-    def test_different_families_never_collide(self, rng):
-        b4, w4 = butterfly(4), wrapped_butterfly(4)
-        counted = np.arange(4)
-        assert canonical_form(b4, counted).key != canonical_form(w4, counted).key
+    def test_different_families_never_collide(self):
+        """Same parameter, different family: distinct keys."""
+        nets = [butterfly(4), wrapped_butterfly(4), torus(4, 4), mesh(4, 4),
+                flattened_butterfly(4, 2), fat_tree(4),
+                Network(range(16), _G16_EDGES, name="G16")]
+        keys = [canonical_form(n).key for n in nets]
+        assert len(set(keys)) == len(keys)
 
     def test_general_network_keys_track_wiring(self):
-        from repro.topology import Network
-
         a = Network(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], name="G")
         b = Network(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], name="G")
         assert canonical_form(a).key != canonical_form(b).key
@@ -155,23 +163,19 @@ class TestCacheRoundTrip:
         np.testing.assert_array_equal(got.witnesses, prof.witnesses)
         np.testing.assert_array_equal(got.counted, prof.counted)
 
-    def test_isomorphic_sibling_hits(self, b4, rng, tmp_path):
-        """A profile stored for one instance serves its whole orbit."""
+    def test_isomorphic_sibling_hits(self, tmp_path):
+        """A profile stored for Torus(3,4) serves its axis-rotated twin."""
         cache = SolverCache(tmp_path / "cache")
-        counted = np.sort(rng.choice(b4.num_nodes, size=6, replace=False))
-        cache.put_profile(
-            b4, cut_profile(b4, counted), version=BATCH_CONTRACT_VERSION
-        )
-        g = _random_butterfly_automorphism(b4, rng)
-        sibling = np.sort(g[counted])
-        got = cache.get_profile(b4, sibling, version=BATCH_CONTRACT_VERSION)
-        assert got is not None, "orbit sibling should be a cache hit"
-        direct = cut_profile(b4, sibling)
+        a, b = torus(3, 4), torus(4, 3)
+        assert cache.put_profile(a, cut_profile(a), version=BATCH_CONTRACT_VERSION)
+        got = cache.get_profile(b, version=BATCH_CONTRACT_VERSION)
+        assert got is not None, "axis-rotated twin should be a cache hit"
+        direct = cut_profile(b)
         np.testing.assert_array_equal(got.values, direct.values)
-        for c in range(len(sibling) + 1):
+        for c in range(b.num_nodes + 1):
             cut = got.witness_cut(c)
             assert cut.capacity == direct.values[c]
-            assert cut.count_in(sibling) == c
+            assert int(cut.side.sum()) == c
 
     def test_version_bump_orphans_entries(self, b4, tmp_path):
         cache = SolverCache(tmp_path / "cache")

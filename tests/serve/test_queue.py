@@ -1,23 +1,27 @@
-"""Queue semantics under load: dedup, orbit holdback, degradation.
+"""Queue semantics under load: dedup, one job at a time, degradation.
 
 The load-bearing claims of the serving layer, asserted at the queue
 level where they are deterministic: concurrent clients on one
 fingerprint trigger exactly one solve (counted via ``serve.*`` and
-``perf.cache.*``), isomorphic requests serialize onto the warm cache,
-and a request whose budget expires while queued still settles with a
+``perf.cache.*``), the drain thread settles each job before it takes
+the next, on the budget that remains when that job's own solve starts,
+an isomorph queued behind its twin lands on the warm cache, and a
+request whose budget expires while queued still settles with a
 certified bound — never an error.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import pytest
 
 from repro.obs import collecting
-from repro.serve.jobs import DONE, FAILED
+from repro.serve import queue as queue_module
+from repro.serve.jobs import DONE, FAILED, RUNNING
 from repro.serve.queue import JobQueue
-from repro.topology import butterfly, torus
+from repro.topology import butterfly, mesh, torus
 from repro.verify.serialize import network_spec
 
 
@@ -67,10 +71,10 @@ class TestDedup:
             assert job2.tier == "tier-0"
             assert col.counters["perf.cache.hit"] >= 1
 
-    def test_orbit_holdback_serializes_isomorphs(self, tmp_path):
+    def test_isomorph_behind_its_twin_hits_the_warm_cache(self, tmp_path):
         """Torus(3,4) and Torus(4,3) share a fingerprint but need their
-        own certificates: two jobs, the second held back onto the warm
-        cache — one real solve, one tier-0 hit."""
+        own certificates: two jobs, solved in turn, so the second lands
+        on the cache the first warmed — one real solve, one tier-0 hit."""
         a, b = torus(3, 4), torus(4, 3)
         queue = JobQueue(cache_dir=str(tmp_path / "cache"))
         with collecting() as col:
@@ -83,12 +87,99 @@ class TestDedup:
             assert queue.wait(jb.id, timeout=60).state == DONE
             queue.stop()
             counters = col.counters
-        assert counters["serve.orbit_deferrals"] >= 1
         assert counters["perf.cache.hit"] >= 1
         assert ja.tier == "tier-1" and jb.tier == "tier-0"
         # Each certificate embeds its *own* instance's spec.
         assert ja.certificate["network"]["edge_digest"] == a.edge_digest
         assert jb.certificate["network"]["edge_digest"] == b.edge_digest
+
+
+def _fake_result(task):
+    """What ``solve_job`` returns, without solving anything."""
+    return {"certificate": {"network": task["spec"]}, "tier": "tier-1", "exact": True}
+
+
+class TestOneJobAtATime:
+    """The drain thread claims, solves and settles one job, then the next."""
+
+    def test_job_behind_another_gets_the_budget_that_remains(self, monkeypatch):
+        t = [0.0]
+        starts = []
+
+        def solve_for_3s(task):
+            starts.append((t[0], task["budget_seconds"]))
+            t[0] += 3.0
+            return _fake_result(task)
+
+        monkeypatch.setattr(queue_module, "solve_job", solve_for_3s)
+        queue = JobQueue(cache_dir=None, clock=lambda: t[0])
+        first, _ = _submit(queue, butterfly(4), timeout=5.0)
+        second, _ = _submit(queue, torus(3, 3), timeout=5.0)
+        queue.start()
+        queue.stop()
+        (t1, budget1), (t2, budget2) = starts
+        assert math.isclose(t1, 0.0, abs_tol=0.0) and math.isclose(budget1, 5.0)
+        # The second solve starts at t=3 with what is left of its 5 s.
+        assert math.isclose(t2, 3.0) and math.isclose(budget2, 2.0)
+        assert math.isclose(second.started, 3.0)
+        assert math.isclose(first.finished, 3.0)
+        assert math.isclose(second.finished, 6.0)
+        assert first.state == second.state == DONE
+
+    def test_first_job_settles_while_the_second_still_runs(self, monkeypatch):
+        a, b = butterfly(4), torus(3, 3)
+        second_running, release = threading.Event(), threading.Event()
+
+        def solve(task):
+            if task["spec"]["edge_digest"] == b.edge_digest:
+                second_running.set()
+                release.wait(60)
+            return _fake_result(task)
+
+        monkeypatch.setattr(queue_module, "solve_job", solve)
+        queue = JobQueue(cache_dir=None)
+        ja, _ = _submit(queue, a)
+        jb, _ = _submit(queue, b)
+        queue.start()
+        try:
+            assert second_running.wait(30)
+            assert queue.wait(ja.id, timeout=5).state == DONE
+            assert jb.state == RUNNING
+        finally:
+            release.set()
+            queue.stop()
+        assert jb.state == DONE
+
+    def test_each_certificate_names_its_own_job(self, tmp_path):
+        """A three-job backlog settles every result onto its own job."""
+        nets = [butterfly(4), torus(3, 3), mesh(2, 3)]
+        queue = JobQueue(cache_dir=str(tmp_path / "cache"))
+        jobs = [_submit(queue, net)[0] for net in nets]
+        queue.start()
+        queue.stop()
+        for job, net in zip(jobs, nets):
+            assert job.state == DONE
+            assert job.digest == net.edge_digest
+            assert job.certificate["network"]["edge_digest"] == net.edge_digest
+            assert job.certificate["quantity"] == f"BW({net.name})"
+
+    def test_raising_solve_fails_its_job_and_the_queue_serves_on(self, monkeypatch):
+        a, b = butterfly(4), torus(3, 3)
+
+        def solve(task):
+            if task["spec"]["edge_digest"] == a.edge_digest:
+                raise RuntimeError("solver crashed")
+            return _fake_result(task)
+
+        monkeypatch.setattr(queue_module, "solve_job", solve)
+        queue = JobQueue(cache_dir=None)
+        ja, _ = _submit(queue, a)
+        jb, _ = _submit(queue, b)
+        queue.start()
+        queue.stop()
+        assert ja.state == FAILED and "RuntimeError: solver crashed" in ja.error
+        assert ja.finished is not None and ja.spec is None
+        assert jb.state == DONE
 
 
 class TestDegradation:

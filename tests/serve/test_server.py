@@ -145,6 +145,19 @@ class TestMetrics:
         assert metrics["repro_perf_cache_hit_total"] >= 1
         assert metrics["repro_serve_queue_depth"] == 0
 
+    def test_in_memory_collector_keeps_no_finished_spans(self, server, client):
+        """Without telemetry nothing reads finished spans, so a
+        long-running server keeps none; counters and gauges stay."""
+        for _ in range(5):
+            client.solve_and_wait(BN4, wait=60)
+        assert server.collector.spans == []
+        assert server.collector.open_spans[0]["name"] == "serve.run"
+        text = client.metrics()
+        assert text.rstrip().endswith("# EOF")
+        assert "repro_serve_requests_total 5" in text.splitlines()
+        assert "repro_serve_queue_depth 0" in text.splitlines()
+        assert "repro_timeline_spans" not in text
+
     def test_content_type(self, client):
         import http.client
 
